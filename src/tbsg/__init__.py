@@ -16,7 +16,6 @@ from .bench import (
     ScalingRow,
     brute_force_groundtruth,
     default_geometry_grid,
-    mp_sweep,
     prob_check,
     read_report_csv,
     recall,
@@ -114,6 +113,5 @@ __all__ = [
     "ProbCheckResult",
     "prob_check",
     "default_geometry_grid",
-    "mp_sweep",
     "__version__",
 ]

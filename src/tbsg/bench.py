@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .index import (
     TbsgIndex,
     TbsgParams,
     build_tbsg,
-    search_knn,
     search_knn_with_stats,
 )
 from .knng import _exact_topk
@@ -43,7 +42,6 @@ __all__ = [
     "ProbCheckResult",
     "prob_check",
     "default_geometry_grid",
-    "mp_sweep",
 ]
 
 
@@ -117,9 +115,9 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Single-threaded recall/QPS sweep over pool sizes.
 
-    Each pool size runs one measured-results sweep (recall and distance
-    evaluations are deterministic) plus `repetitions` timing sweeps whose
-    median wall-clock time yields QPS.
+    Each pool size runs `repetitions` timed sweeps; their median wall-clock
+    time yields QPS. Recall@k (against the first k groundtruth columns) and
+    distance evaluations are deterministic, so they come from the first sweep.
     """
     pool_sizes = sorted(int(l) for l in pool_sizes)
     if not pool_sizes:
@@ -128,28 +126,29 @@ def run_benchmark(
         raise ValueError(f"pool size {pool_sizes[0]} is smaller than k={k}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if gt.k < k:
+        raise ValueError(f"groundtruth has {gt.k} columns, fewer than k={k}")
+    gt_k = GroundTruth(gt.ids[:, :k])
     rows = []
     for l in pool_sizes:
         sp = SearchParams(l=l, k=k)
-        results = []
-        evals = []
-        for qi in range(queries.count):
-            ids, ev = search_knn_with_stats(index, dataset, queries.vector(qi), sp)
-            results.append(ids)
-            evals.append(ev)
         times = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            for qi in range(queries.count):
-                search_knn(index, dataset, queries.vector(qi), sp)
+            sweep = [
+                search_knn_with_stats(index, dataset, queries.vector(qi), sp)
+                for qi in range(queries.count)
+            ]
             times.append(time.perf_counter() - t0)
+            if len(times) == 1:
+                first = sweep
         elapsed = statistics.median(times)
         rows.append(
             BenchmarkRow(
                 l=l,
-                recall=recall(results, gt),
+                recall=recall([ids for ids, _ in first], gt_k),
                 qps=queries.count / elapsed if elapsed > 0 else float("inf"),
-                mean_distance_evals=float(np.mean(evals)),
+                mean_distance_evals=float(np.mean([ev for _, ev in first])),
             )
         )
     return BenchmarkReport(rows=rows, metadata=dict(metadata or {}))
@@ -347,26 +346,3 @@ def prob_check(
                 )
             )
     return ProbCheckResult(rows, skipped)
-
-
-def mp_sweep(
-    dataset: Dataset,
-    queries: Dataset,
-    gt: GroundTruth,
-    k: int,
-    mp_values,
-    params: TbsgParams | None = None,
-    pool_sizes=(100,),
-) -> list[tuple[float, BenchmarkReport]]:
-    """Rebuild and benchmark at each mp threshold; the efficiency sweet spot
-    is reported by the caller, not asserted (QPS is machine-dependent)."""
-    if params is None:
-        params = TbsgParams()
-    out = []
-    for mp in mp_values:
-        index = build_tbsg(dataset, replace(params, mp=float(mp)))
-        report = run_benchmark(
-            index, dataset, queries, gt, k, pool_sizes, metadata={"mp": repr(float(mp))}
-        )
-        out.append((float(mp), report))
-    return out

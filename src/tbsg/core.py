@@ -88,14 +88,21 @@ def squared_l2_distance(a, b) -> float:
     """Squared Euclidean distance; the monotone surrogate used internally."""
     a, b = _as_pair(a, b)
     d = a - b
-    # einsum, not np.dot: keeps the reduction order identical to the batch
-    # kernels below so scalar and vectorized paths agree bitwise.
+    # einsum, not np.dot: keeps the reduction order identical to l2_batch
+    # so scalar and vectorized paths agree bitwise.
     return float(np.einsum("i,i->", d, d))
 
 
 def l2_distance(a, b) -> float:
     """Euclidean distance between two vectors of equal dimension."""
     return math.sqrt(squared_l2_distance(a, b))
+
+
+def l2_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L2 distances between float64 arrays a and b over the last axis,
+    broadcasting the leading ones: the one batch reduction every module uses."""
+    diff = a - b
+    return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
 def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
@@ -108,13 +115,19 @@ def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
     if q.ndim != 1 or q.shape[0] != dataset.dim:
         raise ValueError(f"query dimension {q.shape} does not match dataset dim {dataset.dim}")
     rows = dataset.vectors64 if ids is None else dataset.vectors64[ids]
-    diff = rows - q
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return l2_batch(rows, q)
 
 
 def pairwise_distances(dataset: Dataset, left_ids, right_ids) -> np.ndarray:
-    """Elementwise L2 distances between paired point ids (equal-length arrays)."""
-    a = dataset.vectors64[np.asarray(left_ids)]
-    b = dataset.vectors64[np.asarray(right_ids)]
-    diff = a - b
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Elementwise L2 distances between paired point ids (equal-length
+    arrays), chunked so the gathered rows stay small."""
+    x = dataset.vectors64
+    left = np.asarray(left_ids)
+    right = np.asarray(right_ids)
+    out = np.empty(left.shape[0], dtype=np.float64)
+    # About 4M gathered values (32 MB) per operand at any dim; l2_batch holds
+    # both operands and their difference at once.
+    chunk = max(1, (1 << 22) // max(dataset.dim, 1))
+    for i in range(0, left.shape[0], chunk):
+        out[i : i + chunk] = l2_batch(x[left[i : i + chunk]], x[right[i : i + chunk]])
+    return out

@@ -10,7 +10,7 @@ point.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class TbsgParams:
     base: float = 2.0
     r_mode: str = "dynamic"
     seed: int = 0
-    # When a node's own tree children all get pruned, re-attach the nearest
-    # one so the subtree cannot be orphaned. Off by default: pruning is
-    # followed literally and connectivity is measured instead.
-    force_tree_edge: bool = False
 
     def __post_init__(self):
         if self.K < 1:
@@ -151,16 +147,6 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
             cand_ids = np.concatenate([cand_ids, extra])
             cand_d = np.concatenate([cand_d, distances_to_many(dataset, x[s], ids=extra)])
         selected = _select_from_arrays(s, cand_ids, cand_d, strategy, dataset)
-        if params.force_tree_edge and kids.size and not any(
-            v in kids for v in selected
-        ):
-            nearest_kid = int(kids[np.lexsort((kids, distances_to_many(dataset, x[s], ids=kids)))[0]])
-            if len(selected) < params.m:
-                selected.append(nearest_kid)
-            else:
-                selected[-1] = nearest_kid
-            d_sel = distances_to_many(dataset, x[s], ids=np.asarray(selected))
-            selected = [selected[i] for i in np.lexsort((np.asarray(selected), d_sel))]
         adjacency.append(np.asarray(selected, dtype=np.int64))
     return TbsgIndex(n, params.m, tree.root, adjacency, params)
 
@@ -176,9 +162,13 @@ def _search_pool(
     truncated away was strictly beyond a pool boundary that only tightens, so
     this is observably identical to re-inserting and re-truncating.
     """
+    if dataset.count != index.n:
+        raise ValueError(f"dataset has {dataset.count} points, index has {index.n}")
     q = np.asarray(query, dtype=np.float64).ravel()
     if q.shape[0] != dataset.dim:
         raise ValueError(f"query dim {q.shape[0]} does not match dataset dim {dataset.dim}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query contains NaN or Inf values")
     ep = index.enter_point
     pool_ids = np.asarray([ep], dtype=np.int64)
     pool_d = distances_to_many(dataset, q, ids=pool_ids)

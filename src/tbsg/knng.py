@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, l2_batch, pairwise_distances
 
 __all__ = [
     "KnnGraph",
@@ -80,14 +80,19 @@ class BKnnGraph:
         return self.dists[self.offsets[u] : self.offsets[u + 1]]
 
 
-def _pair_distances(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L2 distances between row pairs x[a[i]], x[b[i]], chunked to bound memory."""
-    out = np.empty(a.shape[0], dtype=np.float64)
-    chunk = 1 << 19
-    for i in range(0, a.shape[0], chunk):
-        diff = x[a[i : i + chunk]] - x[b[i : i + chunk]]
-        out[i : i + chunk] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return out
+def _run_starts(srt: np.ndarray) -> np.ndarray:
+    """True where a sorted array (each row, if 2-D) differs from its
+    predecessor: the first entry of every run of equal values."""
+    first = np.ones(srt.shape, dtype=bool)
+    first[..., 1:] = srt[..., 1:] != srt[..., :-1]
+    return first
+
+
+def _rank_in_run(srt: np.ndarray) -> np.ndarray:
+    """Position of each entry of a sorted 1-D array within its run of equal
+    values."""
+    pos = np.arange(srt.shape[0], dtype=np.int64)
+    return pos - np.maximum.accumulate(np.where(_run_starts(srt), pos, 0))
 
 
 def _exact_topk(
@@ -107,8 +112,7 @@ def _exact_topk(
     block = int(min(nq, max(1, (1 << 23) // max(n * max(dataset.dim, 1), 1))))
     for start in range(0, nq, block):
         q = queries64[start : start + block]
-        diff = q[:, None, :] - x[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        d = l2_batch(q[:, None, :], x[None, :, :])
         if exclude_self:
             self_ids = np.arange(start, start + q.shape[0])
             d[np.arange(q.shape[0]), self_ids] = np.inf
@@ -164,10 +168,7 @@ def add_reverse_edges(kg: KnnGraph) -> BKnnGraph:
     all_d = np.concatenate([d, d])
     key = all_src * np.int64(n) + all_dst
     order = np.lexsort((all_d, key))
-    key_sorted = key[order]
-    first = np.ones(key_sorted.shape[0], dtype=bool)
-    first[1:] = key_sorted[1:] != key_sorted[:-1]
-    kept = order[first]
+    kept = order[_run_starts(key[order])]
     src_u, dst_u, d_u = all_src[kept], all_dst[kept], all_d[kept]
     by_node = np.lexsort((dst_u, d_u, src_u))
     src_s, dst_s, d_s = src_u[by_node], dst_u[by_node], d_u[by_node]
@@ -183,8 +184,7 @@ def _random_neighbor_init(
     draws = rng.integers(0, n - 1, size=(n, K + 8), dtype=np.int64)
     draws += draws >= rows  # uniform over the n-1 ids that are not the row itself
     srt = np.sort(draws, axis=1)
-    fresh = np.ones(srt.shape, dtype=bool)
-    fresh[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    fresh = _run_starts(srt)
     counts = fresh.sum(axis=1)
     order = np.argsort(~fresh, axis=1, kind="stable")[:, :K]
     ids = np.take_along_axis(srt, order, axis=1)
@@ -218,15 +218,11 @@ def _cap_per_node(
     """Dedupe (node, cand) pairs and keep at most cap per node by priority."""
     key = node * np.int64(n) + cand
     order = np.lexsort((pri, key))
-    key_sorted = key[order]
-    first = np.ones(key_sorted.shape[0], dtype=bool)
-    first[1:] = key_sorted[1:] != key_sorted[:-1]
-    kept = order[first]
+    kept = order[_run_starts(key[order])]
     node_k, cand_k, pri_k = node[kept], cand[kept], pri[kept]
     by_pri = np.lexsort((pri_k, node_k))
     node_s = node_k[by_pri]
-    starts = np.searchsorted(node_s, np.arange(n, dtype=np.int64))
-    rank = np.arange(node_s.shape[0], dtype=np.int64) - starts[node_s]
+    rank = _rank_in_run(node_s)
     keep = rank < cap
     rect = np.full((n, cap), -1, dtype=np.int64)
     rect[node_s[keep], rank[keep]] = cand_k[by_pri][keep]
@@ -273,9 +269,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     10k-point default build's 264 s, so keep np.unique out of this path.
     """
     srt = np.sort(a)
-    fresh = np.ones(srt.shape[0], dtype=bool)
-    fresh[1:] = srt[1:] != srt[:-1]
-    return srt[fresh]
+    return srt[_run_starts(srt)]
 
 
 def _local_join_pairs(
@@ -339,25 +333,17 @@ def _merge_shard(
     incoming = np.concatenate(
         [np.zeros(rows * K, dtype=np.uint8), np.ones(node.shape[0], dtype=np.uint8)]
     )
-    # Dedupe per (node, id), preferring the entry already in the list so its
-    # new/old flag survives.
+    # One sort by (node, distance, id, incoming). Both copies of a pair carry
+    # the same distance bits (l2_batch is symmetric), so a duplicate sits
+    # right after the copy already in the list, whose new/old flag survives.
+    order = np.lexsort((incoming, all_id, all_d, all_node))
     key = (all_node - lo) * np.int64(ids.shape[0]) + all_id
-    order = np.lexsort((incoming, key))
-    key_sorted = key[order]
-    first = np.ones(key_sorted.shape[0], dtype=bool)
-    first[1:] = key_sorted[1:] != key_sorted[:-1]
-    sel = order[first]
-    node_u, id_u, d_u = all_node[sel], all_id[sel], all_d[sel]
-    flag_u, inc_u = all_flag[sel], incoming[sel]
-    by_rank = np.lexsort((id_u, d_u, node_u))
-    node_s = node_u[by_rank]
-    starts = np.searchsorted(node_s, np.arange(lo, hi, dtype=np.int64))
-    rank = np.arange(node_s.shape[0], dtype=np.int64) - starts[node_s - lo]
-    chosen = by_rank[rank < K]
-    ids[lo:hi] = id_u[chosen].reshape(rows, K)
-    dists[lo:hi] = d_u[chosen].reshape(rows, K)
-    flags[lo:hi] = flag_u[chosen].reshape(rows, K)
-    return int(inc_u[chosen].sum())
+    sel = order[_run_starts(key[order])]
+    chosen = sel[_rank_in_run(all_node[sel]) < K]
+    ids[lo:hi] = all_id[chosen].reshape(rows, K)
+    dists[lo:hi] = all_d[chosen].reshape(rows, K)
+    flags[lo:hi] = all_flag[chosen].reshape(rows, K)
+    return int(incoming[chosen].sum())
 
 
 def _apply_updates(
@@ -411,11 +397,10 @@ def build_knng(
     n = dataset.count
     if n <= K + 1:
         return build_exact_knng(dataset, K)
-    x = dataset.vectors64
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = _random_neighbor_init(rng, n, K)
     rows = np.repeat(np.arange(n, dtype=np.int64), K)
-    dists = _pair_distances(x, rows, ids.ravel()).reshape(n, K)
+    dists = pairwise_distances(dataset, rows, ids.ravel()).reshape(n, K)
     ids, dists = _sort_rows(ids, dists)
     flags = np.ones((n, K), dtype=bool)
     cap = max(1, min(int(round(sample_rate * K)), _MAX_CANDIDATES))
@@ -424,7 +409,7 @@ def build_knng(
         pa, pb = _local_join_pairs(new_rect, old_rect, n)
         if pa.size == 0:
             break
-        pd = _pair_distances(x, pa, pb)
+        pd = pairwise_distances(dataset, pa, pb)
         changed = _apply_updates(ids, dists, flags, pa, pb, pd)
         if changed <= _CONVERGENCE_DELTA * n * K:
             break

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, l2_batch
 
 __all__ = [
     "TriangleGeom",
@@ -182,15 +182,6 @@ class StrategyParams:
             raise ValueError("static r_mode requires static_r values")
 
 
-def _candidate_matrices(
-    dataset: Dataset, cand_ids: np.ndarray
-) -> np.ndarray:
-    """All pairwise distances among the candidates, row v by column e."""
-    rows = dataset.vectors64[cand_ids]
-    diff = rows[:, None, :] - rows[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _min_prob_matrix(d: np.ndarray, cand_d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """min_prob of excluding column-candidate e via row-neighbor v.
 
@@ -226,7 +217,9 @@ def _select_from_arrays(
     if count == 0:
         return []
 
-    d = _candidate_matrices(dataset, cand_ids)
+    # All pairwise distances among the candidates, row v by column e.
+    rows = dataset.vectors64[cand_ids]
+    d = l2_batch(rows[:, None, :], rows[None, :, :])
     if params.strategy == "tbsg":
         if params.r_mode == "dynamic":
             radius = cand_d

@@ -18,7 +18,6 @@ from tbsg.bench import (
     GroundTruth,
     brute_force_groundtruth,
     default_geometry_grid,
-    mp_sweep,
     prob_check,
     read_report_csv,
     recall,
@@ -121,6 +120,17 @@ class TestRunBenchmark:
             run_benchmark(index, ds, queries, gt, 5, [])
         with pytest.raises(ValueError, match="repetitions"):
             run_benchmark(index, ds, queries, gt, 5, [10], repetitions=0)
+        with pytest.raises(ValueError, match="fewer than k"):
+            run_benchmark(index, ds, queries, GroundTruth(gt.ids[:, :4]), 5, [10])
+
+    def test_recall_scores_the_first_k_groundtruth_columns(self):
+        index, ds, queries, gt = self._tiny()
+        wide = brute_force_groundtruth(ds, queries, 20)
+        assert np.array_equal(wide.ids[:, :5], gt.ids)
+        narrow_report = run_benchmark(index, ds, queries, gt, 5, [10, 40], repetitions=2)
+        wide_report = run_benchmark(index, ds, queries, wide, 5, [10, 40], repetitions=2)
+        assert [r.recall for r in wide_report.rows] == [r.recall for r in narrow_report.rows]
+        assert wide_report.rows[1].recall == 1.0
 
 
 class TestReportCsv:
@@ -230,19 +240,3 @@ class TestProbCheck:
         with pytest.raises(ValueError, match="dims"):
             prob_check(dims=())
 
-
-class TestMpSweep:
-    def test_smoke(self):
-        ds = generate_synthetic(150, 4, clusters=1, spread=1.0, seed=9)
-        queries = generate_synthetic(10, 4, clusters=1, spread=1.0, seed=10)
-        gt = brute_force_groundtruth(ds, queries, 5)
-        out = mp_sweep(
-            ds, queries, gt, 5, [0.51, 0.53],
-            params=TbsgParams(K=8, m=8, iterations=4, seed=0),
-            pool_sizes=(20,),
-        )
-        assert [mp for mp, _ in out] == [0.51, 0.53]
-        for _, report in out:
-            assert len(report.rows) == 1
-            assert 0.0 <= report.rows[0].recall <= 1.0
-            assert report.metadata["mp"] in ("0.51", "0.53")

@@ -75,6 +75,31 @@ class TestPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_recall_uses_the_first_k_groundtruth_columns(self, pipeline, tmp_path, capsys):
+        paths, _ = pipeline
+        wide, narrow = str(tmp_path / "wide.ivecs"), str(tmp_path / "narrow.ivecs")
+        for k, out in ((40, wide), (5, narrow)):
+            assert main([
+                "groundtruth", "--data", paths["data"], "--queries", paths["queries"],
+                "--k", str(k), "--out", out,
+            ]) == 0
+        csv = str(tmp_path / "wide.csv")
+        assert main([
+            "search", "--index", paths["index"], "--data", paths["data"],
+            "--queries", paths["queries"], "--gt", wide, "--k", "10",
+            "--pool-sizes", "10,20", "--reps", "1", "--csv", csv,
+        ]) == 0
+        got = [r.recall for r in read_report_csv(csv).rows]
+        assert got == [r.recall for r in read_report_csv(paths["csv"]).rows]
+        capsys.readouterr()
+        code = main([
+            "search", "--index", paths["index"], "--data", paths["data"],
+            "--queries", paths["queries"], "--gt", narrow, "--k", "10",
+            "--pool-sizes", "10", "--reps", "1",
+        ])
+        assert code == 1
+        assert "fewer than k" in capsys.readouterr().err
+
     def test_corrupt_index_reports_data_error(self, pipeline, tmp_path, capsys):
         paths, _ = pipeline
         bad = tmp_path / "bad.tbsg"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbsg import Dataset, l2_distance, squared_l2_distance
-from tbsg.core import distances_to_many, pairwise_distances
+from tbsg.core import distances_to_many, l2_batch, pairwise_distances
 
 
 def _vectors(dim, max_side=1e6):
@@ -146,3 +146,23 @@ class TestBatchKernels:
         x = self.ds.vectors64
         assert batch.tolist() == [l2_distance(x[a], x[b]) for a, b in zip(left, right)]
         assert batch[1] == 0.0 and batch[3] == 0.0
+
+    def test_pairwise_across_chunks_matches_scalar_bitwise(self):
+        # At dim 1024 a chunk holds 4096 pairs, so 4500 pairs span two.
+        rng = np.random.default_rng(7)
+        x = Dataset(rng.normal(size=(10, 1024))).vectors64
+        left, right = rng.integers(0, 10, size=(2, 4500))
+        batch = pairwise_distances(Dataset(x), left, right)
+        assert batch.tolist() == [l2_distance(x[a], x[b]) for a, b in zip(left, right)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16, 32, 100, 128, 960])
+    def test_broadcast_shapes_match_scalar_bitwise(self, dim):
+        # The pruning candidate matrix (rows against rows) and the exact
+        # KNNG's query block against all points.
+        rng = np.random.default_rng(dim)
+        x = Dataset(rng.normal(size=(12, dim)) * 37.0).vectors64
+        q = rng.normal(size=(3, dim))
+        cand = l2_batch(x[:, None, :], x[None, :, :])
+        assert cand.tolist() == [[l2_distance(a, b) for b in x] for a in x]
+        block = l2_batch(q[:, None, :], x[None, :, :])
+        assert block.tolist() == [[l2_distance(a, b) for b in x] for a in q]

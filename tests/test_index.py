@@ -117,26 +117,6 @@ class TestBuild:
         assert index.max_out_degree() <= 50
         assert reachable_fraction(index) >= 0.999
 
-    def test_force_tree_edge_keeps_a_child_edge(self):
-        # Widely separated tight clusters: plain pruning may cut every tree
-        # edge out of some node, orphaning its subtree. The flag re-attaches
-        # the nearest child, so each parent keeps at least one child edge.
-        ds = generate_synthetic(400, 2, clusters=4, spread=0.02, seed=7)
-        forced = build_tbsg(ds, TbsgParams(K=10, m=4, iterations=5, seed=1, force_tree_edge=True))
-        default = build_tbsg(ds, TbsgParams(K=10, m=4, iterations=5, seed=1))
-        tree = build_cover_tree(ds, seed=1)
-        orphaning_nodes = 0
-        for s in range(400):
-            kids = set(tree.children(s))
-            if not kids:
-                continue
-            if not kids & set(default.adjacency[s]):
-                orphaning_nodes += 1
-            assert kids & set(forced.adjacency[s]), f"node {s} lost all children"
-        # The configuration must actually exercise the flag.
-        assert orphaning_nodes > 0
-        assert forced.max_out_degree() <= 4
-
 
 class TestSearch:
     def test_exact_point_on_complete_graph(self):
@@ -226,6 +206,50 @@ class TestSearch:
         index = build_tbsg(ds, TbsgParams(K=5, m=5, iterations=2))
         with pytest.raises(ValueError, match="does not match"):
             search_knn(index, ds, np.zeros(3), SearchParams(l=5, k=1))
+
+    def test_non_finite_query_rejected(self):
+        ds = generate_synthetic(20, 4, seed=0)
+        index = build_tbsg(ds, TbsgParams(K=5, m=5, iterations=2))
+        for bad in (np.nan, np.inf, -np.inf):
+            q = np.zeros(4)
+            q[2] = bad
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                search_knn(index, ds, q, SearchParams(l=5, k=1))
+
+    def test_dataset_of_another_size_rejected(self):
+        ds = generate_synthetic(20, 4, seed=0)
+        index = build_tbsg(ds, TbsgParams(K=5, m=5, iterations=2))
+        for count in (19, 21):
+            other = generate_synthetic(count, 4, seed=1)
+            with pytest.raises(ValueError, match="index has 20"):
+                search_knn(index, other, np.zeros(4), SearchParams(l=5, k=1))
+
+
+class TestLayerHooks:
+    def test_build_and_search_look_up_layer_entry_points_in_index_module(self, monkeypatch):
+        # Per-layer benchmark metrics come from wrapping these names in
+        # tbsg.index; a build or search that bypasses them loses its metrics.
+        import tbsg.index as index_module
+
+        calls = {}
+        for name in (
+            "build_cover_tree",
+            "build_knng",
+            "add_reverse_edges",
+            "_select_from_arrays",
+            "distances_to_many",
+        ):
+            def counted(*args, _fn=getattr(index_module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(index_module, name, counted)
+        ds = generate_synthetic(60, 4, clusters=2, spread=1.0, seed=2)
+        index = build_tbsg(ds, TbsgParams(K=6, m=4, iterations=3))
+        assert {"build_cover_tree", "build_knng", "add_reverse_edges", "_select_from_arrays"} <= set(calls)
+        before = calls.get("distances_to_many", 0)
+        search_knn(index, ds, ds.vector(7), SearchParams(l=10, k=3))
+        assert calls.get("distances_to_many", 0) > before
 
 
 class TestReachableFraction:

@@ -11,7 +11,7 @@ from tbsg import (
     generate_synthetic,
     knng_recall,
 )
-from tbsg.knng import KnnGraph, _local_join_pairs
+from tbsg.knng import KnnGraph, _apply_updates, _local_join_pairs
 
 
 def check_graph_invariants(kg: KnnGraph, dataset: Dataset) -> None:
@@ -170,6 +170,63 @@ class TestLocalJoinPairs:
         pad = np.full((7, 5), -1, dtype=np.int64)
         lo, hi = _local_join_pairs(pad, pad, 10)
         assert lo.size == 0 and hi.size == 0
+
+
+def _apply_updates_reference(ids, dists, flags, pa, pb, pd):
+    """Per-node merge in plain Python: keep the K best by (distance, id); an
+    incoming pair already in the list keeps the listed copy and its flag."""
+    n, K = ids.shape
+    incoming = [[] for _ in range(n)]
+    for a, b, d in zip(pa.tolist(), pb.tolist(), pd.tolist()):
+        incoming[a].append((d, b))
+        incoming[b].append((d, a))
+    out_ids, out_d, out_f = ids.copy(), dists.copy(), flags.copy()
+    changed = 0
+    for u in range(n):
+        entries = {
+            int(v): (float(d), bool(f), False)
+            for v, d, f in zip(ids[u], dists[u], flags[u])
+        }
+        for d, v in incoming[u]:
+            entries.setdefault(v, (d, True, True))
+        best = sorted(entries.items(), key=lambda e: (e[1][0], e[0]))[:K]
+        out_ids[u] = [v for v, _ in best]
+        out_d[u] = [e[0] for _, e in best]
+        out_f[u] = [e[1] for _, e in best]
+        changed += sum(e[2] for _, e in best)
+    return out_ids, out_d, out_f, changed
+
+
+class TestApplyUpdates:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_node_reference(self, seed):
+        # Integer distances from a symmetric matrix make (distance) ties
+        # common; every fourth proposed pair is already in a list.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n, K = 12, 4
+        upper = np.triu(rng.integers(1, 6, size=(n, n)).astype(np.float64), 1)
+        D = upper + upper.T
+        ids = np.empty((n, K), dtype=np.int64)
+        for u in range(n):
+            others = rng.choice(np.delete(np.arange(n), u), size=K, replace=False)
+            ids[u] = others[np.lexsort((others, D[u, others]))]
+        dists = np.take_along_axis(D, ids, axis=1)
+        flags = rng.random((n, K)) < 0.5
+        rows = np.repeat(np.arange(n), K)
+        lo, hi = np.minimum(rows, ids.ravel()), np.maximum(rows, ids.ravel())
+        iu, ju = np.triu_indices(n, k=1)
+        listed = np.isin(iu * n + ju, lo * n + hi)
+        pick = rng.random(iu.size) < 0.3
+        pick[np.flatnonzero(listed)[::4]] = True
+        pa, pb = iu[pick], ju[pick]
+        pd = D[pa, pb]
+        want = _apply_updates_reference(ids, dists, flags, pa, pb, pd)
+        changed = _apply_updates(ids, dists, flags, pa, pb, pd)
+        assert listed[pick].any()
+        assert np.array_equal(ids, want[0])
+        assert np.array_equal(dists, want[1])
+        assert np.array_equal(flags, want[2])
+        assert changed == want[3]
 
 
 class TestKnngRecall:
