@@ -263,7 +263,9 @@ def load_index(path) -> TbsgIndex:
     if (len(raw) - 20) % 4 != 0:
         raise FormatError(f"{path}: truncated record at byte offset {len(raw)}")
     words = np.frombuffer(raw, dtype="<u4", offset=20)
-    if ep >= n > 0 or (n == 0 and ep != 0):
+    if n == 0:
+        raise FormatError(f"{path}: index holds no nodes")
+    if ep >= n:
         raise FormatError(f"{path}: enter point {ep} out of range")
     adjacency: list[np.ndarray] = []
     pos = 0

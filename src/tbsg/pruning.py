@@ -36,6 +36,12 @@ __all__ = [
 # candidate sitting numerically on the boundary is excluded consistently.
 _COS_SLACK = 1e-9
 
+# Gathered float64 values (rows x alive candidates x dim) per block of
+# candidate distance rows: the scan computes a kept neighbor's row together
+# with the next still-alive candidates' rows, as many as fit, instead of the
+# whole candidate matrix (it keeps only about 1 candidate in 8).
+_BLOCK_VALUES = 1 << 14
+
 
 @dataclass(frozen=True)
 class TriangleGeom:
@@ -182,14 +188,18 @@ class StrategyParams:
             raise ValueError("static r_mode requires static_r values")
 
 
-def _min_prob_matrix(d: np.ndarray, cand_d: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _min_prob_matrix(
+    d: np.ndarray, d_sv: np.ndarray, d_se: np.ndarray, r: np.ndarray
+) -> np.ndarray:
     """min_prob of excluding column-candidate e via row-neighbor v.
 
-    Elementwise mirror of min_prob(): d is the candidate pairwise-distance
-    matrix, cand_d the distances from s, r the per-column radius.
+    Elementwise mirror of min_prob() over a block of rows: d holds the
+    distances d_ve from each row's neighbor v to each column's candidate e,
+    d_sv (one column) the rows' distances from s, d_se the columns'
+    distances from s, r the per-column radius.
     """
-    h = (cand_d[None, :] * cand_d[None, :] - d * d) / (2.0 * cand_d[:, None])
-    return 1.0 - np.arccos(np.clip(h / r[None, :], -1.0, 1.0)) / math.pi
+    h = (d_se * d_se - d * d) / (2.0 * d_sv)
+    return 1.0 - np.arccos(np.clip(h / r, -1.0, 1.0)) / math.pi
 
 
 def _select_from_arrays(
@@ -217,9 +227,7 @@ def _select_from_arrays(
     if count == 0:
         return []
 
-    # All pairwise distances among the candidates, row v by column e.
-    rows = dataset.vectors64[cand_ids]
-    d = l2_batch(rows[:, None, :], rows[None, :, :])
+    vectors = dataset.vectors64[cand_ids]
     if params.strategy == "tbsg":
         if params.r_mode == "dynamic":
             radius = cand_d
@@ -228,31 +236,41 @@ def _select_from_arrays(
             # A node whose nearest neighbor is a duplicate has no usable
             # static radius; fall back to the dynamic rule for it.
             radius = np.full(count, r_s) if r_s > 0.0 else cand_d
-        prob = _min_prob_matrix(d, cand_d, radius)
-        blocks = (d < cand_d[None, :]) & (prob >= params.mp)
-    elif params.strategy == "rng":
-        blocks = d < cand_d[None, :]
-    else:
+    elif params.strategy == "nssg":
         cos_threshold = math.cos(params.alpha_t) - _COS_SLACK
-        num = (
-            cand_d[:, None] * cand_d[:, None]
-            + cand_d[None, :] * cand_d[None, :]
-            - d * d
-        )
-        cos_angle = num / (2.0 * cand_d[:, None] * cand_d[None, :])
-        blocks = cos_angle >= cos_threshold
+
+    def blocked_by(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Which of the candidates `cols` each of the given rows' neighbors blocks."""
+        d = l2_batch(vectors[rows, None, :], vectors[None, cols, :])
+        d_sv = cand_d[rows, None]
+        d_se = cand_d[cols]
+        if params.strategy == "tbsg":
+            prob = _min_prob_matrix(d, d_sv, d_se, radius[cols])
+            return (d < d_se) & (prob >= params.mp)
+        if params.strategy == "rng":
+            return d < d_se
+        num = d_sv * d_sv + d_se * d_se - d * d
+        return num / (2.0 * d_sv * d_se) >= cos_threshold
 
     # Each kept neighbor strikes out the candidates it blocks, so the next
     # keeper is the first candidate still alive: at most m steps per node.
+    # A keeper's row is computed on demand, against the candidates still
+    # alive, in a block with the rows of the candidates alive after it,
+    # which are the likeliest next keepers.
     selected: list[int] = []
     alive = np.ones(count, dtype=bool)
+    rows_ready: dict[int, np.ndarray] = {}
     j = 0
     while True:
         selected.append(int(cand_ids[j]))
         if len(selected) == params.m:
             break
+        if j not in rows_ready:
+            cols = np.flatnonzero(alive)
+            rows = cols[: max(1, _BLOCK_VALUES // (cols.size * dataset.dim))]
+            rows_ready = dict(zip(rows.tolist(), blocked_by(rows, cols)))
+        alive[cols] &= ~rows_ready[j]
         alive[j] = False
-        alive &= ~blocks[j]
         j = int(np.argmax(alive))
         if not alive[j]:
             break

@@ -157,7 +157,8 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 16, 32, 100, 128, 960])
     def test_broadcast_shapes_match_scalar_bitwise(self, dim):
-        # The pruning candidate matrix (rows against rows) and the exact
+        # The pruning candidate matrix (rows against rows), its row blocks
+        # (some kept rows against the still-alive columns) and the exact
         # KNNG's query block against all points.
         rng = np.random.default_rng(dim)
         x = Dataset(rng.normal(size=(12, dim)) * 37.0).vectors64
@@ -166,3 +167,7 @@ class TestBatchKernels:
         assert cand.tolist() == [[l2_distance(a, b) for b in x] for a in x]
         block = l2_batch(q[:, None, :], x[None, :, :])
         assert block.tolist() == [[l2_distance(a, b) for b in x] for a in q]
+        cols = np.array([0, 3, 5, 6, 11])
+        for rows in ([3], [3, 5, 11]):
+            part = l2_batch(x[rows, None, :], x[None, cols, :])
+            assert part.tolist() == [[l2_distance(x[a], x[b]) for b in cols] for a in rows]

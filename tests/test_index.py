@@ -341,3 +341,11 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="enter point"):
             load_index(path)
+
+    def test_empty_index_rejected(self, tmp_path):
+        # build_tbsg never writes n=0, and a loaded one would break
+        # reachable_fraction and search, which start from the enter point.
+        path = tmp_path / "empty"
+        path.write_bytes(b"TBSG" + struct.pack("<IIII", 1, 0, 50, 0))
+        with pytest.raises(FormatError, match="no nodes"):
+            load_index(path)

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from literal_algos import literal_select
+import tbsg.pruning
 from tbsg import (
     Dataset,
     StrategyParams,
+    TbsgParams,
     TriangleGeom,
+    build_tbsg,
     generate_synthetic,
     l2_distance,
     min_prob,
@@ -314,3 +317,54 @@ class TestSelectNeighbors:
             assert select_neighbors(s, cands, params, ds) == literal_select(
                 ds, s, cands, params
             )
+
+    def test_matches_literal_reference_across_row_blocks(self):
+        # 60-200 candidates at d >= 16 exceed the row-block budget, so the
+        # scan computes the kept neighbors' rows over several blocks.
+        rng = np.random.default_rng(7)
+        cases = [("rng", None), ("nssg", None), ("tbsg", "dynamic"), ("tbsg", "static")]
+        multi_block = 0
+        for t in range(24):
+            dim = (16, 64, 128)[t % 3]
+            strategy, r_mode = cases[t % 4]
+            count = int(rng.integers(60, 201))
+            n = count + 1
+            ds = generate_synthetic(n, dim, clusters=2, spread=1.0, seed=900 + t)
+            s = int(rng.integers(n))
+            ids = rng.permutation(np.delete(np.arange(n), s))
+            cands = _pairs(ds, s, np.concatenate([ids, ids[:5]]))
+            m = int(rng.integers(10, 60))
+            if strategy == "nssg":
+                params = StrategyParams(
+                    strategy="nssg", alpha_t=float(rng.uniform(0.6, math.pi / 3)), m=m
+                )
+            elif strategy == "tbsg":
+                params = StrategyParams(
+                    strategy="tbsg",
+                    mp=float(rng.uniform(0.5, 0.6)),
+                    m=m,
+                    r_mode=r_mode,
+                    static_r=rng.uniform(0.5, 3.0, size=n) if r_mode == "static" else None,
+                )
+            else:
+                params = StrategyParams(strategy="rng", m=m)
+            expected = literal_select(ds, s, cands, params)
+            assert select_neighbors(s, cands, params, ds) == expected, (t, strategy, dim)
+            per_block = max(1, tbsg.pruning._BLOCK_VALUES // (count * dim))
+            multi_block += len(expected) > per_block
+        assert multi_block >= 16
+
+
+class TestRowBlockBudget:
+    @pytest.mark.parametrize("n,dim", [(300, 128), (500, 16)])
+    @pytest.mark.parametrize("r_mode", ["dynamic", "static"])
+    def test_builds_equal_at_budget_extremes(self, monkeypatch, n, dim, r_mode):
+        # The budget only decides which rows are computed together: one row
+        # per block and the whole candidate matrix at once keep the same edges.
+        ds = generate_synthetic(n, dim, clusters=3, spread=1.0, seed=21)
+        params = TbsgParams(K=30, m=20, r_mode=r_mode)
+        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", 1)
+        one_row = build_tbsg(ds, params)
+        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", 1 << 40)
+        whole = build_tbsg(ds, params)
+        assert one_row == whole
