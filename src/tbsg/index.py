@@ -10,6 +10,7 @@ point.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .core import Dataset, distances_to_many
 from .covertree import build_cover_tree
 from .io import FormatError
-from .knng import add_reverse_edges, build_knng
+from .knng import _sorted_unique, add_reverse_edges, build_knng
 from .pruning import StrategyParams, _select_from_arrays
 
 __all__ = [
@@ -153,14 +154,18 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
 
 def _search_pool(
     index: TbsgIndex, dataset: Dataset, query, l: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[list[int], int]:
     """Best-first expansion; returns the final pool ids and the number of
     distance evaluations (pool insertions attempted, the seed included).
 
-    The pool keeps at most l (distance, id)-sorted entries; each step expands
-    the closest unvisited one. Ids seen once are never re-inserted: anything
-    truncated away was strictly beyond a pool boundary that only tightens, so
-    this is observably identical to re-inserting and re-truncating.
+    The pool is a list of at most l (distance, id) tuples kept sorted by
+    binary insertion, with a parallel visited list; each step expands the
+    closest unvisited entry. Tuples order as lexsort((ids, distances)) does,
+    ids being unique. After an expansion the cursor moves back to the lowest
+    insertion position, as in NSG's search, since every entry before it is
+    visited. Ids seen once are never re-inserted: anything truncated away was
+    strictly beyond a pool boundary that only tightens, so this is observably
+    identical to re-inserting and re-truncating.
     """
     if dataset.count != index.n:
         raise ValueError(f"dataset has {dataset.count} points, index has {index.n}")
@@ -169,33 +174,38 @@ def _search_pool(
         raise ValueError(f"query dim {q.shape[0]} does not match dataset dim {dataset.dim}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query contains NaN or Inf values")
-    ep = index.enter_point
-    pool_ids = np.asarray([ep], dtype=np.int64)
-    pool_d = distances_to_many(dataset, q, ids=pool_ids)
-    visited = np.zeros(1, dtype=bool)
+    ep = int(index.enter_point)
+    pool = [(float(distances_to_many(dataset, q, ids=[ep])[0]), ep)]
+    visited = [False]
     seen = np.zeros(index.n, dtype=bool)
     seen[ep] = True
     evals = 1
+    cur = 0
     while True:
-        unvisited = np.flatnonzero(~visited)
-        if unvisited.size == 0:
-            break
-        cur = int(unvisited[0])
         visited[cur] = True
-        nbrs = index.adjacency[int(pool_ids[cur])]
+        nbrs = index.adjacency[pool[cur][1]]
         fresh = nbrs[~seen[nbrs]]
-        if fresh.size == 0:
-            continue
-        seen[fresh] = True
-        evals += fresh.size
-        pool_ids = np.concatenate([pool_ids, fresh])
-        pool_d = np.concatenate([pool_d, distances_to_many(dataset, q, ids=fresh)])
-        visited = np.concatenate([visited, np.zeros(fresh.size, dtype=bool)])
-        keep = np.lexsort((pool_ids, pool_d))[:l]
-        pool_ids = pool_ids[keep]
-        pool_d = pool_d[keep]
-        visited = visited[keep]
-    return pool_ids, evals
+        low = cur + 1
+        if fresh.size:
+            seen[fresh] = True
+            evals += fresh.size
+            dists = distances_to_many(dataset, q, ids=fresh)
+            for entry in zip(dists.tolist(), fresh.tolist()):
+                if len(pool) == l and entry >= pool[-1]:
+                    continue
+                pos = bisect_left(pool, entry)
+                pool.insert(pos, entry)
+                visited.insert(pos, False)
+                if len(pool) > l:
+                    pool.pop()
+                    visited.pop()
+                if pos < low:
+                    low = pos
+        try:
+            cur = visited.index(False, low)
+        except ValueError:
+            break
+    return [v for _, v in pool], evals
 
 
 def search_knn(
@@ -203,7 +213,7 @@ def search_knn(
 ) -> list[int]:
     """k nearest neighbor ids for the query, ascending by distance."""
     pool_ids, _ = _search_pool(index, dataset, query, sp.l)
-    return [int(i) for i in pool_ids[: sp.k]]
+    return pool_ids[: sp.k]
 
 
 def search_knn_with_stats(
@@ -211,22 +221,19 @@ def search_knn_with_stats(
 ) -> tuple[list[int], int]:
     """Same as search_knn, also returning the distance-evaluation count."""
     pool_ids, evals = _search_pool(index, dataset, query, sp.l)
-    return [int(i) for i in pool_ids[: sp.k]], evals
+    return pool_ids[: sp.k], evals
 
 
 def reachable_fraction(index: TbsgIndex) -> float:
-    """Fraction of nodes reachable from the enter point along out-edges."""
+    """Fraction of nodes reachable from the enter point along out-edges,
+    found one BFS level at a time."""
     seen = np.zeros(index.n, dtype=bool)
-    seen[index.enter_point] = True
-    frontier = [index.enter_point]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in index.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
+    frontier = np.asarray([index.enter_point], dtype=np.int64)
+    seen[frontier] = True
+    while frontier.size:
+        nbrs = np.concatenate([index.adjacency[u] for u in frontier.tolist()])
+        frontier = _sorted_unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
     return float(seen.sum() / index.n)
 
 
@@ -267,20 +274,22 @@ def load_index(path) -> TbsgIndex:
         raise FormatError(f"{path}: index holds no nodes")
     if ep >= n:
         raise FormatError(f"{path}: enter point {ep} out of range")
-    adjacency: list[np.ndarray] = []
+    flat = words.tolist()
+    heads = []
     pos = 0
     for u in range(n):
-        if pos >= words.shape[0]:
+        if pos >= len(flat):
             raise FormatError(f"{path}: truncated at node {u}")
-        degree = int(words[pos])
-        pos += 1
-        if pos + degree > words.shape[0]:
+        heads.append(pos)
+        pos += flat[pos] + 1
+        if pos > len(flat):
             raise FormatError(f"{path}: truncated neighbor list at node {u}")
-        nbrs = words[pos : pos + degree].astype(np.int64)
-        pos += degree
-        if degree and nbrs.max() >= n:
-            raise FormatError(f"{path}: neighbor id out of range at node {u}")
-        adjacency.append(nbrs)
-    if pos != words.shape[0]:
-        raise FormatError(f"{path}: {4 * (words.shape[0] - pos)} trailing bytes")
+    if pos != len(flat):
+        raise FormatError(f"{path}: {4 * (len(flat) - pos)} trailing bytes")
+    ids = words.astype(np.int64)
+    ids[heads] = 0
+    if ids.max() >= n:
+        u = bisect_right(heads, int(np.argmax(ids >= n))) - 1
+        raise FormatError(f"{path}: neighbor id out of range at node {u}")
+    adjacency = [ids[a + 1 : b] for a, b in zip(heads, heads[1:] + [len(flat)])]
     return TbsgIndex(n, m, ep, adjacency, None)

@@ -1,9 +1,9 @@
 """Deliberately naive reference implementations for equivalence testing.
 
-These re-derive the neighbor-selection scan and the bounded-pool search with
-plain Python loops, sets, and full re-sorts: no shared code paths with the
-library beyond the two scalar primitives (l2_distance, min_prob), which have
-their own dedicated tests. The library's vectorized versions must reproduce
+These re-derive the neighbor-selection scan and the bounded-pool search (and
+its distance-evaluation count) with plain Python loops, sets, and full
+re-sorts: no shared code paths with the library beyond the two scalar
+primitives (l2_distance, min_prob), which have their own dedicated tests. The library's vectorized versions must reproduce
 these outputs exactly, element for element.
 """
 
@@ -96,3 +96,27 @@ def literal_search(index, dataset, q, l, k):
         pool.sort(key=lambda entry: (entry[0], entry[1]))
         pool = pool[:l]
     return [node for _, node in pool[:k]]
+
+
+def literal_evals(index, dataset, q, l):
+    """Distance evaluations of literal_search's loop with pool size l.
+
+    Runs the same re-sorted, re-truncated pool and returns len(inpool): every
+    id that ever entered the pool cost one distance, the enter point included.
+    """
+    x = dataset.vectors64
+    pool = [(l2_distance(x[index.enter_point], q), index.enter_point)]
+    visited: set[int] = set()
+    inpool = {index.enter_point}
+    while True:
+        cur = next((node for _, node in pool if node not in visited), None)
+        if cur is None:
+            break
+        visited.add(cur)
+        for v in index.adjacency[cur]:
+            v = int(v)
+            if v not in inpool:
+                inpool.add(v)
+                pool.append((l2_distance(x[v], q), v))
+        pool = sorted(pool)[:l]
+    return len(inpool)

@@ -25,6 +25,8 @@ from tbsg import (
 )
 from tbsg.bench import brute_force_groundtruth, recall
 
+from literal_algos import literal_evals, literal_search
+
 
 class TestParams:
     def test_tbsg_params_validation(self):
@@ -225,6 +227,37 @@ class TestSearch:
                 search_knn(index, other, np.zeros(4), SearchParams(l=5, k=1))
 
 
+class TestSearchMatchesLiteral:
+    """Ids and evals equal the literal re-sorting reference where ties decide
+    the result: exact-duplicate rows put equal distances in the pool, which
+    then fall back to id order."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("graph", ["random", "built"])
+    def test_ids_and_evals_on_tied_distances(self, seed, graph):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        distinct = rng.integers(0, 3, (max(2, n // 3), int(rng.integers(1, 4))))
+        ds = Dataset(distinct[rng.integers(0, distinct.shape[0], n)].astype(np.float64))
+        m = int(rng.integers(1, 7))
+        if graph == "random":
+            # Every out-degree from 0 to m; duplicates are reachable here,
+            # while pruning drops the zero-distance edges between them.
+            adjacency = [
+                rng.choice(n, size=int(rng.integers(0, m + 1)), replace=False) for _ in range(n)
+            ]
+            index = TbsgIndex(n=n, m=m, enter_point=int(rng.integers(n)), adjacency=adjacency)
+        else:
+            index = build_tbsg(ds, TbsgParams(K=min(8, n - 1), m=m, iterations=3, seed=seed))
+        x = ds.vectors64
+        queries = (x[int(rng.integers(n))], rng.integers(0, 3, ds.dim) + 0.5)
+        for q in queries:
+            for l in (1, 3, n, 2 * n):
+                k = min(l, 3)
+                got = search_knn_with_stats(index, ds, q, SearchParams(l=l, k=k))
+                assert got == (literal_search(index, ds, q, l, k), literal_evals(index, ds, q, l))
+
+
 class TestLayerHooks:
     def test_build_and_search_look_up_layer_entry_points_in_index_module(self, monkeypatch):
         # Per-layer benchmark metrics come from wrapping these names in
@@ -285,6 +318,51 @@ class TestPersistence:
         path = tmp_path / "one.tbsg"
         save_index(index, path)
         assert load_index(path) == index
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            [[]],
+            [[], [], []],
+            [[1, 3], [], [0], [], [0, 1, 2]],
+        ],
+    )
+    def test_hand_built_round_trip(self, tmp_path, adjacency):
+        # Nodes with no out-edges, and a single node, save and load intact.
+        index = TbsgIndex(
+            n=len(adjacency),
+            m=3,
+            enter_point=len(adjacency) - 1,
+            adjacency=[np.asarray(a, dtype=np.int64) for a in adjacency],
+        )
+        path = tmp_path / "h.tbsg"
+        save_index(index, path)
+        assert load_index(path) == index
+
+    def test_every_damage_raises_format_error(self, tmp_path):
+        # Any cut-off file and any degree word pointing past the end fail
+        # with FormatError, never IndexError or a bare ValueError.
+        adjacency = [[1, 3], [], [0], [], [0, 1, 2]]
+        index = TbsgIndex(
+            n=5, m=3, enter_point=0, adjacency=[np.asarray(a, dtype=np.int64) for a in adjacency]
+        )
+        path = tmp_path / "d.tbsg"
+        save_index(index, path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError, match="magic" if cut < 4 else "truncated"):
+                load_index(path)
+        head = 20
+        for nbrs in adjacency:
+            remaining = (len(raw) - head) // 4 - 1
+            for degree in (remaining + 1, 2**32 - 1):
+                damaged = bytearray(raw)
+                damaged[head : head + 4] = struct.pack("<I", degree)
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(FormatError, match="truncated neighbor list"):
+                    load_index(path)
+            head += 4 * (1 + len(nbrs))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
