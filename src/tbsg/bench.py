@@ -62,7 +62,8 @@ class GroundTruth:
 
 
 def brute_force_groundtruth(dataset: Dataset, queries: Dataset, k: int) -> GroundTruth:
-    """Exact top-k per query by full scan; ties broken by ascending id."""
+    """Exact top-k per query, as a full scan ranks it; ties broken by
+    ascending id."""
     if queries.dim != dataset.dim:
         raise ValueError(
             f"query dim {queries.dim} does not match dataset dim {dataset.dim}"

@@ -18,7 +18,7 @@ import numpy as np
 from .core import Dataset, distances_to_many
 from .covertree import build_cover_tree
 from .io import FormatError
-from .knng import _sorted_unique, add_reverse_edges, build_knng
+from .knng import _exact_is_cheaper, _sorted_unique, add_reverse_edges, build_knng
 from .pruning import StrategyParams, _select_from_arrays
 
 __all__ = [
@@ -40,7 +40,12 @@ _FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class TbsgParams:
     """Build configuration; the defaults are the million-scale SIFT-style
-    profile (K=100, m=50, mp=0.53, dynamic radius)."""
+    profile (K=100, m=50, mp=0.53, dynamic radius).
+
+    iterations and sample_rate tune NN-descent, which builds the KNNG only
+    past the size where the exact graph costs more (knng._exact_is_cheaper;
+    sample_rate also moves that crossover). Below it the KNNG is exact.
+    """
 
     K: int = 100
     m: int = 50
@@ -112,7 +117,8 @@ class TbsgIndex:
 
 
 def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
-    """Construct the index: cover tree + bidirected KNNG, then prune per node."""
+    """Construct the index: cover tree + bidirected KNNG (exact or by
+    NN-descent, whichever the cost model finds cheaper), then prune per node."""
     if params is None:
         params = TbsgParams()
     n = dataset.count
@@ -127,6 +133,7 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         iterations=params.iterations,
         sample_rate=params.sample_rate,
         seed=params.seed,
+        exact=_exact_is_cheaper(n, dataset.dim, params.K, params.sample_rate),
     )
     bg = add_reverse_edges(kg)
     static_r = kg.dists[:, 0].copy() if params.r_mode == "static" else None

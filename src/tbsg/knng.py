@@ -1,8 +1,12 @@
 """K-nearest-neighbor graph construction.
 
-Two builders share the KnnGraph container: a brute-force exact builder (the
-quality oracle) and a seeded NN-descent loop (neighbor-of-my-neighbor
-refinement) for realistic sizes. add_reverse_edges() closes the graph under
+Two builders share the KnnGraph container: an exact builder, which ranks a
+blocked-matmul shortlist per node, and a seeded NN-descent loop
+(neighbor-of-my-neighbor refinement). The exact graph costs n^2 distances but
+little per pair, so it is the cheaper one up to tens of thousands of points;
+_exact_is_cheaper() holds the cost model build_tbsg uses to pick one, and
+NN-descent takes over past its crossover. The exact builder is also the
+quality oracle for NN-descent. add_reverse_edges() closes the graph under
 edge reversal, producing the variable-degree candidate source the index
 builder consumes.
 
@@ -34,6 +38,33 @@ _MAX_CANDIDATES = 60
 
 # Stop refining once a round changes fewer than this fraction of list slots.
 _CONVERGENCE_DELTA = 0.001
+
+# Builder choice: the exact graph when n^2 * (d + _EXACT_PAIR_DIMS) is at
+# most _NND_PAIR_COST times NN-descent's proposed pairs, about 1.5 * cap^2
+# per node per round. Measured with 2 BLAS threads on a 2-core Xeon (Python
+# 3.11.7, NumPy 2.4.6 / OpenBLAS), K=20 on one Gaussian unless noted:
+#   n x d         exact    NN-descent (10 iterations, KNNG recall)
+#   4k x 1        0.19 s    3.6 s (1.000)
+#   16k x 1       1.74 s   15.8 s (1.000)
+#   4k x 16       0.12 s    4.0 s (0.987)
+#   16k x 16      1.67 s   24.6 s (0.972)
+#   4k x 16 K=100 0.16 s   17.7 s (1.000)
+#   4k x 128      0.35 s    8.0 s (0.750)
+#   16k x 128     2.88 s   42.9 s (0.487)
+#   2k x 960      0.38 s   12.4 s (0.769)
+# The exact build takes about 0.035 ns * n^2 * (d + 190) at 16k, its
+# argpartition and expansion work per pair weighing as much as 190 dims of
+# matmul. NN-descent takes 820-4,500 ns per node per 1.5 * cap^2 below
+# d=960, all rounds together, or 23k-128k exact units; the constant below
+# sits under all of them, so the crossover is conservative: about 58k points
+# at d=16 and K=20, 38k at d=128 and K=20, 520k at d=16 and K=100.
+_EXACT_PAIR_DIMS = 190
+_NND_PAIR_COST = 20_000
+
+# Extra shortlist entries the exact top-k re-ranks beyond k, so that a row
+# falls back to its full scan only when distances tie (or nearly) across
+# this many places at its k-th neighbor.
+_SHORTLIST_PAD = 16
 
 
 @dataclass
@@ -95,35 +126,88 @@ def _rank_in_run(srt: np.ndarray) -> np.ndarray:
     return pos - np.maximum.accumulate(np.where(_run_starts(srt), pos, 0))
 
 
+def _ranked_topk(
+    q: np.ndarray, xc: np.ndarray, cand: np.ndarray, self_ids, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k best (id, distance) per query row among its candidates, ordered
+    by (l2_batch distance, id): cand holds the ids and xc their rows (or the
+    whole dataset broadcast); a row's own id in self_ids never qualifies."""
+    d = l2_batch(q[:, None, :], xc)
+    if self_ids is not None:
+        d[cand == self_ids[:, None]] = np.inf
+    order = np.lexsort((cand, d), axis=1)[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d, order, axis=1)
+
+
 def _exact_topk(
     dataset: Dataset, queries64: np.ndarray, k: int, exclude_self: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ids, distances) per query by full scan; ties by ascending id.
+    """Top-k (ids, distances) per query over every point; ties by ascending id.
 
     With exclude_self, query row i is assumed to be dataset point i and is
-    removed from its own result.
+    removed from its own result. The result is that of ranking a full row of
+    l2_batch distances by (distance, id), bit for bit, but mostly only a
+    shortlist is ranked: per block of queries one matmul gives the norm
+    expansion |q|^2 + |x|^2 - 2 q.x of every squared distance, argpartition
+    keeps the k + _SHORTLIST_PAD smallest, and l2_batch re-ranks those. A row
+    whose k-th re-ranked squared distance is not below the smallest expansion
+    left out by more than the rounding bound below (ties at the boundary
+    included) is ranked over its full row instead.
     """
-    n = dataset.count
+    n, dim = dataset.count, dataset.dim
     x = dataset.vectors64
     nq = queries64.shape[0]
     ids = np.empty((nq, k), dtype=np.int64)
     dists = np.empty((nq, k), dtype=np.float64)
-    col_ids = np.arange(n, dtype=np.int64)
-    block = int(min(nq, max(1, (1 << 23) // max(n * max(dataset.dim, 1), 1))))
+    width = k + _SHORTLIST_PAD
+    x_sq = np.einsum("ij,ij->i", x, x)
+    # Rounding bound, u the unit roundoff. A float64 dot product over dim
+    # terms, norms included, errs by at most dim*u/(1 - dim*u) times the sum
+    # of its absolute products in any summation order, so an expansion is
+    # within slack*(|q| + max|x|)^2 of the exact squared distance t; its two
+    # additions fit in slack's surplus. A left-out point's
+    # l2_batch distance squares to at least t*(1 - slack) (difference,
+    # square and sum each round), and the k-th re-ranked value times
+    # (1 + slack) covers its own rounding and keeps the two apart after sqrt.
+    slack = 2.0 * (dim + 8) * np.finfo(np.float64).eps
+    x_reach = float(np.sqrt(x_sq.max()))
+    x_m2 = x * -2.0  # exact scaling: q @ x_m2.T is -2 q.x to the bit
+    all_ids = np.arange(n, dtype=np.int64)
+    # About 1M expansion values (8 MB) per block: measured fastest at n=10k,
+    # d=16, as larger blocks leave the cache for argpartition.
+    block = max(1, (1 << 20) // max(n, width * dim))
+    full_block = max(1, (1 << 22) // (n * max(dim, 1)))
     for start in range(0, nq, block):
-        q = queries64[start : start + block]
-        d = l2_batch(q[:, None, :], x[None, :, :])
-        if exclude_self:
-            self_ids = np.arange(start, start + q.shape[0])
-            d[np.arange(q.shape[0]), self_ids] = np.inf
-        order = np.lexsort((np.broadcast_to(col_ids, d.shape), d), axis=1)[:, :k]
-        ids[start : start + q.shape[0]] = order
-        dists[start : start + q.shape[0]] = np.take_along_axis(d, order, axis=1)
+        stop = min(start + block, nq)
+        if width >= n:
+            full = np.arange(start, stop)
+        else:
+            q = queries64[start:stop]
+            rows = np.arange(stop - start)
+            self_ids = rows + start if exclude_self else None
+            # |q|^2 is the same across a row: only the left-out value needs it.
+            g = q @ x_m2.T
+            g += x_sq
+            if exclude_self:
+                g[rows, self_ids] = np.inf
+            part = np.argpartition(g, width, axis=1)
+            cand = part[:, :width]
+            ids[start:stop], dists[start:stop] = _ranked_topk(q, x[cand], cand, self_ids, k)
+            q_sq = np.einsum("ij,ij->i", q, q)
+            left_out = g[rows, part[:, width]] + q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2
+            safe = left_out * (1.0 - slack) > dists[start:stop, -1] ** 2 * (1.0 + slack)
+            full = start + np.flatnonzero(~safe)
+        for f0 in range(0, full.size, full_block):
+            r = full[f0 : f0 + full_block]
+            cand = np.broadcast_to(all_ids, (r.size, n))
+            own = r if exclude_self else None
+            ids[r], dists[r] = _ranked_topk(queries64[r], x[None, :, :], cand, own, k)
     return ids, dists
 
 
 def build_exact_knng(dataset: Dataset, K: int) -> KnnGraph:
-    """Exact K nearest neighbors per node by brute force (K clamped to n-1)."""
+    """Exact K nearest neighbors per node (K clamped to n-1), equal to a
+    brute-force scan's."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     n = dataset.count
@@ -375,18 +459,33 @@ def _apply_updates(
     return changed
 
 
+def _join_cap(K: int, sample_rate: float) -> int:
+    """Entries per node in each NN-descent round's new and old join pools."""
+    return max(1, min(int(round(sample_rate * K)), _MAX_CANDIDATES))
+
+
+def _exact_is_cheaper(n: int, dim: int, K: int, sample_rate: float) -> bool:
+    """Whether the exact KNNG of n points in dim dimensions costs less than
+    NN-descent with this K and sample_rate, by the cost model above."""
+    cap = _join_cap(K, sample_rate)
+    return n * (dim + _EXACT_PAIR_DIMS) <= _NND_PAIR_COST * 1.5 * cap * cap
+
+
 def build_knng(
     dataset: Dataset,
     K: int,
     iterations: int = 10,
     sample_rate: float = 1.0,
     seed: int = 0,
+    exact: bool = False,
 ) -> KnnGraph:
-    """Approximate KNNG by NN-descent; falls back to brute force for tiny n.
+    """KNNG by NN-descent, or the exact graph when exact=True or n <= K + 1.
 
-    Starts from random lists and repeatedly joins each node's recently-added
-    (new) entries against its pools, keeping the K best per node, until
-    `iterations` rounds have run or an iteration changes almost nothing.
+    NN-descent starts from random lists and repeatedly joins each node's
+    recently-added (new) entries against its pools, keeping the K best per
+    node, until `iterations` rounds have run or an iteration changes almost
+    nothing. iterations, sample_rate and seed act only on NN-descent;
+    build_tbsg passes exact=_exact_is_cheaper(...).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
@@ -395,7 +494,7 @@ def build_knng(
     if not 0.0 < sample_rate <= 1.0:
         raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
     n = dataset.count
-    if n <= K + 1:
+    if exact or n <= K + 1:
         return build_exact_knng(dataset, K)
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = _random_neighbor_init(rng, n, K)
@@ -403,7 +502,7 @@ def build_knng(
     dists = pairwise_distances(dataset, rows, ids.ravel()).reshape(n, K)
     ids, dists = _sort_rows(ids, dists)
     flags = np.ones((n, K), dtype=bool)
-    cap = max(1, min(int(round(sample_rate * K)), _MAX_CANDIDATES))
+    cap = _join_cap(K, sample_rate)
     for _ in range(iterations):
         new_rect, old_rect = _sample_candidates(rng, ids, flags, cap)
         pa, pb = _local_join_pairs(new_rect, old_rect, n)

@@ -3,15 +3,20 @@
 These re-derive the neighbor-selection scan and the bounded-pool search (and
 its distance-evaluation count) with plain Python loops, sets, and full
 re-sorts: no shared code paths with the library beyond the two scalar
-primitives (l2_distance, min_prob), which have their own dedicated tests. The library's vectorized versions must reproduce
-these outputs exactly, element for element.
+primitives (l2_distance, min_prob), which have their own dedicated tests. The
+exact top-k ranks every query's full row of distances from the batch kernel
+l2_batch, itself tested bitwise against the scalar one. The library's
+vectorized versions must reproduce these outputs exactly, element for element.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from tbsg import TriangleGeom, l2_distance, min_prob
+from tbsg.core import l2_batch
 
 
 def literal_select(dataset, s, candidates, params):
@@ -120,3 +125,28 @@ def literal_evals(index, dataset, q, l):
                 pool.append((l2_distance(x[v], q), v))
         pool = sorted(pool)[:l]
     return len(inpool)
+
+
+def literal_topk(x, queries, k, exclude_self):
+    """Top-k (ids, distances) per query by full scan; ties by ascending id.
+
+    Every query's whole row of l2_batch distances is ranked by (distance,
+    id). With exclude_self, query row i is dataset point i and is removed
+    from its own result.
+    """
+    n, dim = x.shape
+    nq = queries.shape[0]
+    ids = np.empty((nq, k), dtype=np.int64)
+    dists = np.empty((nq, k), dtype=np.float64)
+    col_ids = np.arange(n, dtype=np.int64)
+    block = int(min(nq, max(1, (1 << 23) // max(n * max(dim, 1), 1))))
+    for start in range(0, nq, block):
+        q = queries[start : start + block]
+        d = l2_batch(q[:, None, :], x[None, :, :])
+        if exclude_self:
+            self_ids = np.arange(start, start + q.shape[0])
+            d[np.arange(q.shape[0]), self_ids] = np.inf
+        order = np.lexsort((np.broadcast_to(col_ids, d.shape), d), axis=1)[:, :k]
+        ids[start : start + q.shape[0]] = order
+        dists[start : start + q.shape[0]] = np.take_along_axis(d, order, axis=1)
+    return ids, dists

@@ -24,6 +24,7 @@ from tbsg import (
     search_knn_with_stats,
 )
 from tbsg.bench import brute_force_groundtruth, recall
+from tbsg.knng import _exact_is_cheaper
 
 from literal_algos import literal_evals, literal_search
 
@@ -85,7 +86,11 @@ class TestBuild:
         index = build_tbsg(ds, params)
         assert index.max_out_degree() <= params.m
         x = ds.vectors64
-        kg = build_knng(ds, params.K, iterations=params.iterations, seed=params.seed)
+        # The same KNNG builder build_tbsg picks for this input.
+        exact = _exact_is_cheaper(ds.count, ds.dim, params.K, params.sample_rate)
+        kg = build_knng(
+            ds, params.K, iterations=params.iterations, seed=params.seed, exact=exact
+        )
         bg = add_reverse_edges(kg)
         tree = build_cover_tree(ds, base=params.base, seed=params.seed)
         for s in range(150):

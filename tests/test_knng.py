@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tbsg.knng as knng_module
 from tbsg import (
     Dataset,
     add_reverse_edges,
@@ -11,7 +12,15 @@ from tbsg import (
     generate_synthetic,
     knng_recall,
 )
-from tbsg.knng import KnnGraph, _apply_updates, _local_join_pairs
+from tbsg.knng import (
+    KnnGraph,
+    _apply_updates,
+    _exact_is_cheaper,
+    _exact_topk,
+    _local_join_pairs,
+)
+
+from literal_algos import literal_topk
 
 
 def check_graph_invariants(kg: KnnGraph, dataset: Dataset) -> None:
@@ -69,6 +78,76 @@ class TestExactKnng:
             build_exact_knng(generate_synthetic(5, 2, seed=0), 0)
 
 
+def _topk_inputs(kind, n, dim, seed):
+    """(data, queries) float32 arrays for one exact top-k case. Queries are
+    data points themselves or fresh draws near them."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = rng.standard_normal((n, dim))
+    if kind == "duplicates":
+        base = np.repeat(base[: -(-n // 3)], 3, axis=0)[:n]
+    elif kind == "identical":
+        base = np.broadcast_to(base[0], (n, dim))
+    elif kind == "copies":
+        # One point fills about 4 rows in 5, scattered among distinct ones:
+        # its copies tie far past any shortlist, in no particular id order.
+        base = np.where(rng.random((n, 1)) < 0.8, base[0], base)
+    elif kind == "offset":
+        # Norms near 1e4 * sqrt(dim) against distances near sqrt(2 dim): the
+        # norm expansion cancels about eight digits here.
+        base = 1e4 + base
+    queries = np.concatenate([base[:5], rng.standard_normal((7, dim)) + base[5:12]])
+    return base.astype(np.float32), queries.astype(np.float32)
+
+
+class TestExactTopk:
+    """_exact_topk ranks a matmul shortlist; it must equal the full-row
+    ranking of literal_topk bit for bit, fallback rows included."""
+
+    @pytest.mark.parametrize(
+        "kind", ["gaussian", "duplicates", "identical", "copies", "offset"]
+    )
+    @pytest.mark.parametrize("dim", [1, 16, 128, 960])
+    def test_matches_literal_full_scan(self, kind, dim):
+        n = 120
+        data, queries = _topk_inputs(kind, n, dim, seed=dim)
+        ds = Dataset(data)
+        x = ds.vectors64
+        q64 = Dataset(queries).vectors64
+        # n - 17 makes the shortlist every point but the query itself.
+        for k in (1, 7, 30, n - 17, n - 1):
+            for got, want in (
+                (_exact_topk(ds, x, k, True), literal_topk(x, x, k, True)),
+                (_exact_topk(ds, q64, k, False), literal_topk(x, q64, k, False)),
+                (_exact_topk(ds, q64, n, False), literal_topk(x, q64, n, False)),
+            ):
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_full_row_scans_only_at_ties(self, monkeypatch):
+        # Each "duplicates" point has two exact copies. Excluding itself, a
+        # point's neighbors come as its two copies, then triples of equal
+        # distance at ranks 3-5, 6-8, 9-11, ...: at k=9 the k-th ties the
+        # next one, but not the first one past a shortlist of k + 16. With
+        # every row identical, ties run through any shortlist.
+        scanned = []
+        real = knng_module._ranked_topk
+
+        def spy(q, xc, cand, self_ids, k):
+            scanned.append(q.shape[0] if cand.shape[1] == x.shape[0] else 0)
+            return real(q, xc, cand, self_ids, k)
+
+        monkeypatch.setattr(knng_module, "_ranked_topk", spy)
+        for kind, full_rows in (("duplicates", 0), ("identical", 600)):
+            ds = Dataset(_topk_inputs(kind, 600, 16, seed=3)[0])
+            x = ds.vectors64
+            scanned.clear()
+            got = _exact_topk(ds, x, 9, True)
+            want = literal_topk(x, x, 9, True)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert sum(scanned) == full_rows
+
+
 class TestNnDescent:
     def test_tiny_n_falls_back_to_exact(self):
         ds = generate_synthetic(10, 4, seed=3)
@@ -112,6 +191,55 @@ class TestNnDescent:
             build_knng(ds, 5, sample_rate=0.0)
         with pytest.raises(ValueError, match="sample_rate"):
             build_knng(ds, 5, sample_rate=1.5)
+
+
+class TestBuilderChoice:
+    def test_default_runs_nn_descent_and_exact_skips_it(self, monkeypatch):
+        joins = []
+        real = knng_module._local_join_pairs
+
+        def spy(*args):
+            joins.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(knng_module, "_local_join_pairs", spy)
+        ds = generate_synthetic(60, 4, seed=9)
+        build_knng(ds, 10, iterations=2, seed=1)
+        assert joins
+        joins.clear()
+        got = build_knng(ds, 10, iterations=2, seed=1, exact=True)
+        want = build_exact_knng(ds, 10)
+        assert not joins
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.dists, want.dists)
+
+    @pytest.mark.parametrize(
+        "n, dim, K",
+        [
+            (1000, 16, 100),  # benchmark desk
+            (1000, 32, 20),  # benchmark search32
+            (500, 128, 100),  # benchmark sift128
+            (10_000, 16, 100),  # criterion 06
+            (2000, 16, 20),  # criterion 09, smallest and largest prefix
+            (16_000, 16, 20),
+        ],
+    )
+    def test_exact_at_repo_sizes(self, n, dim, K):
+        assert _exact_is_cheaper(n, dim, K, 1.0)
+
+    @pytest.mark.parametrize(
+        "n, dim, K, sample_rate",
+        [
+            (59_000, 16, 20, 1.0),
+            (39_000, 128, 20, 1.0),
+            (530_000, 16, 100, 1.0),
+            # A smaller join pool makes NN-descent cheaper: cap 10, not 60.
+            (20_000, 16, 100, 0.1),
+        ],
+    )
+    def test_nn_descent_past_the_crossover(self, n, dim, K, sample_rate):
+        assert not _exact_is_cheaper(n, dim, K, sample_rate)
+        assert _exact_is_cheaper(n // 2, dim, K, sample_rate)
 
 
 def _join_pairs_reference(new_rect, old_rect, n):
