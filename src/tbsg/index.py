@@ -133,7 +133,7 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         iterations=params.iterations,
         sample_rate=params.sample_rate,
         seed=params.seed,
-        exact=_exact_is_cheaper(n, dataset.dim, params.K, params.sample_rate),
+        exact=_exact_is_cheaper(n, params.K, params.sample_rate),
     )
     bg = add_reverse_edges(kg)
     static_r = kg.dists[:, 0].copy() if params.r_mode == "static" else None

@@ -3,7 +3,8 @@
 Two builders share the KnnGraph container: an exact builder, which ranks a
 blocked-matmul shortlist per node, and a seeded NN-descent loop
 (neighbor-of-my-neighbor refinement). The exact graph costs n^2 distances but
-little per pair, so it is the cheaper one up to tens of thousands of points;
+little per pair, so it is the cheaper one up to tens of thousands of points
+(more at large K);
 _exact_is_cheaper() holds the cost model build_tbsg uses to pick one, and
 NN-descent takes over past its crossover. The exact builder is also the
 quality oracle for NN-descent. add_reverse_edges() closes the graph under
@@ -39,27 +40,32 @@ _MAX_CANDIDATES = 60
 # Stop refining once a round changes fewer than this fraction of list slots.
 _CONVERGENCE_DELTA = 0.001
 
-# Builder choice: the exact graph when n^2 * (d + _EXACT_PAIR_DIMS) is at
-# most _NND_PAIR_COST times NN-descent's proposed pairs, about 1.5 * cap^2
-# per node per round. Measured with 2 BLAS threads on a 2-core Xeon (Python
-# 3.11.7, NumPy 2.4.6 / OpenBLAS), K=20 on one Gaussian unless noted:
-#   n x d         exact    NN-descent (10 iterations, KNNG recall)
-#   4k x 1        0.19 s    3.6 s (1.000)
-#   16k x 1       1.74 s   15.8 s (1.000)
-#   4k x 16       0.12 s    4.0 s (0.987)
-#   16k x 16      1.67 s   24.6 s (0.972)
-#   4k x 16 K=100 0.16 s   17.7 s (1.000)
-#   4k x 128      0.35 s    8.0 s (0.750)
-#   16k x 128     2.88 s   42.9 s (0.487)
-#   2k x 960      0.38 s   12.4 s (0.769)
-# The exact build takes about 0.035 ns * n^2 * (d + 190) at 16k, its
-# argpartition and expansion work per pair weighing as much as 190 dims of
-# matmul. NN-descent takes 820-4,500 ns per node per 1.5 * cap^2 below
-# d=960, all rounds together, or 23k-128k exact units; the constant below
-# sits under all of them, so the crossover is conservative: about 58k points
-# at d=16 and K=20, 38k at d=128 and K=20, 520k at d=16 and K=100.
-_EXACT_PAIR_DIMS = 190
-_NND_PAIR_COST = 20_000
+# Builder choice: the exact graph when its n^2 pairs are at most
+# _NND_PAIR_COST times NN-descent's proposed pairs, about 1.5 * cap^2 per
+# node per round, that is when n <= _NND_PAIR_COST * 1.5 * cap^2. Both sides
+# pay about d per pair, so d drops out. Measured with 2 BLAS threads on a
+# 2-core Xeon (Python 3.11.7, NumPy 2.4.6 / OpenBLAS), K=20 on one Gaussian
+# unless noted; the ratio is NN-descent's time per proposed pair over the
+# exact build's time per pair:
+#   n x d          exact   NN-descent (10 iterations, KNNG recall)   ratio
+#   4k x 1         0.19 s    3.6 s (1.000)                           126
+#   16k x 1        1.74 s   15.8 s (1.000)                           242
+#   4k x 16        0.12 s    4.0 s (0.987)                           222
+#   16k x 16       1.67 s   24.6 s (0.972)                           393
+#   32k x 16       5.24 s   55.2 s (0.964)                           562
+#   4k x 128       0.35 s    8.0 s (0.750)                           152
+#   16k x 128      2.88 s   42.9 s (0.487)                           397
+#   2k x 960       0.38 s   12.4 s (0.769)                           109
+#   4k x 960       2.14 s   31.1 s (0.625)                            97
+#   12k x 960      8.56 s  121.0 s (0.410)                           283
+#   4k x 16 K=100  0.16 s   17.7 s (1.000)                            82
+#   10k x 16 K=100 1.60 s   71.7 s (0.99997, criterion 06's set)      83
+# The ratio shows no trend in d and grows with n at K=20; the constant sits
+# under every row. That puts the crossover at 48k points for K=20 and 432k
+# for K=100, whatever d. Both are extrapolations, unverified: no run reached
+# the NN-descent side (the largest are 32k at K=20 and 10k at K=100), and no
+# benchmark workload builds there.
+_NND_PAIR_COST = 80
 
 # Extra shortlist entries the exact top-k re-ranks beyond k, so that a row
 # falls back to its full scan only when distances tie (or nearly) across
@@ -464,11 +470,11 @@ def _join_cap(K: int, sample_rate: float) -> int:
     return max(1, min(int(round(sample_rate * K)), _MAX_CANDIDATES))
 
 
-def _exact_is_cheaper(n: int, dim: int, K: int, sample_rate: float) -> bool:
-    """Whether the exact KNNG of n points in dim dimensions costs less than
-    NN-descent with this K and sample_rate, by the cost model above."""
+def _exact_is_cheaper(n: int, K: int, sample_rate: float) -> bool:
+    """Whether the exact KNNG of n points costs less than NN-descent with
+    this K and sample_rate, by the cost model above."""
     cap = _join_cap(K, sample_rate)
-    return n * (dim + _EXACT_PAIR_DIMS) <= _NND_PAIR_COST * 1.5 * cap * cap
+    return n <= _NND_PAIR_COST * 1.5 * cap * cap
 
 
 def build_knng(

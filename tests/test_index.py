@@ -87,7 +87,7 @@ class TestBuild:
         assert index.max_out_degree() <= params.m
         x = ds.vectors64
         # The same KNNG builder build_tbsg picks for this input.
-        exact = _exact_is_cheaper(ds.count, ds.dim, params.K, params.sample_rate)
+        exact = _exact_is_cheaper(ds.count, params.K, params.sample_rate)
         kg = build_knng(
             ds, params.K, iterations=params.iterations, seed=params.seed, exact=exact
         )

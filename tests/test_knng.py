@@ -214,32 +214,31 @@ class TestBuilderChoice:
         assert np.array_equal(got.dists, want.dists)
 
     @pytest.mark.parametrize(
-        "n, dim, K",
+        "n, K",
         [
-            (1000, 16, 100),  # benchmark desk
-            (1000, 32, 20),  # benchmark search32
-            (500, 128, 100),  # benchmark sift128
-            (10_000, 16, 100),  # criterion 06
-            (2000, 16, 20),  # criterion 09, smallest and largest prefix
-            (16_000, 16, 20),
+            (1000, 100),  # benchmark desk
+            (1000, 20),  # benchmark search32
+            (500, 100),  # benchmark sift128
+            (10_000, 100),  # criterion 06
+            (16_000, 20),  # criterion 09, largest prefix
+            (32_000, 20),  # largest calibration run
         ],
     )
-    def test_exact_at_repo_sizes(self, n, dim, K):
-        assert _exact_is_cheaper(n, dim, K, 1.0)
+    def test_exact_at_repo_sizes(self, n, K):
+        assert _exact_is_cheaper(n, K, 1.0)
 
     @pytest.mark.parametrize(
-        "n, dim, K, sample_rate",
+        "n, K, sample_rate",
         [
-            (59_000, 16, 20, 1.0),
-            (39_000, 128, 20, 1.0),
-            (530_000, 16, 100, 1.0),
+            (48_001, 20, 1.0),
+            (432_001, 100, 1.0),
             # A smaller join pool makes NN-descent cheaper: cap 10, not 60.
-            (20_000, 16, 100, 0.1),
+            (12_001, 100, 0.1),
         ],
     )
-    def test_nn_descent_past_the_crossover(self, n, dim, K, sample_rate):
-        assert not _exact_is_cheaper(n, dim, K, sample_rate)
-        assert _exact_is_cheaper(n // 2, dim, K, sample_rate)
+    def test_nn_descent_past_the_crossover(self, n, K, sample_rate):
+        assert not _exact_is_cheaper(n, K, sample_rate)
+        assert _exact_is_cheaper(n - 1, K, sample_rate)
 
 
 def _join_pairs_reference(new_rect, old_rect, n):
