@@ -121,7 +121,7 @@ def _cmd_build(args) -> int:
     index = build_tbsg(dataset, params)
     seconds = time.perf_counter() - t0
     save_index(index, args.out)
-    degrees = [len(a) for a in index.adjacency]
+    degrees = np.diff(index.offsets)
     _print_table(
         ["n", "dim", "m", "mp", "K", "build_seconds", "max_degree", "mean_degree", "enter_point"],
         [[
@@ -131,8 +131,8 @@ def _cmd_build(args) -> int:
             params.mp,
             params.K,
             f"{seconds:.2f}",
-            max(degrees),
-            f"{sum(degrees) / len(degrees):.1f}",
+            int(degrees.max()),
+            f"{degrees.mean():.1f}",
             index.enter_point,
         ]],
     )

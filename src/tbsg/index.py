@@ -9,9 +9,11 @@ point.
 
 from __future__ import annotations
 
+import operator
 import struct
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,17 +89,82 @@ class SearchParams:
             raise ValueError(f"k ({self.k}) must not exceed l ({self.l})")
 
 
+class _Adjacency(Sequence):
+    """Per-node view over an index's CSR arrays: item u is node u's out-edges,
+    a view of `neighbors`. Assigning an item re-lays both arrays."""
+
+    def __init__(self, index: TbsgIndex):
+        self._index = index
+
+    def __len__(self) -> int:
+        return self._index.n
+
+    def _node(self, u) -> int:
+        return range(self._index.n)[operator.index(u)]
+
+    def __getitem__(self, u) -> np.ndarray:
+        u = self._node(u)
+        offsets = self._index.offsets
+        return self._index.neighbors[offsets[u] : offsets[u + 1]]
+
+    def __setitem__(self, u, ids) -> None:
+        u = self._node(u)
+        index = self._index
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        lo, hi = index.offsets[u], index.offsets[u + 1]
+        index.neighbors = np.concatenate([index.neighbors[:lo], ids, index.neighbors[hi:]])
+        index.offsets = index.offsets.copy()
+        index.offsets[u + 1 :] += ids.size - (hi - lo)
+
+
 @dataclass
 class TbsgIndex:
-    """Built search graph: per-node out-edges (ascending by distance) plus the
-    fixed enter point. Equality compares the searchable structure only;
+    """Built search graph in CSR (compressed sparse row) form: node u's
+    out-edges, ascending by distance, are neighbors[offsets[u]:offsets[u+1]]
+    (both int64, offsets of length n + 1), and search starts at the fixed
+    enter point. Pass either `adjacency`, one id sequence per node, or the
+    `offsets` and `neighbors` pair. `adjacency` reads back as a per-node view
+    over the two arrays. Equality compares the searchable structure only;
     build_params is provenance and is not serialized."""
 
     n: int
     m: int
     enter_point: int
-    adjacency: list[np.ndarray]
-    build_params: TbsgParams | None = field(default=None, compare=False)
+    offsets: np.ndarray
+    neighbors: np.ndarray
+    build_params: TbsgParams | None = None
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        enter_point: int,
+        adjacency=None,
+        build_params: TbsgParams | None = None,
+        *,
+        offsets=None,
+        neighbors=None,
+    ):
+        if (adjacency is None) == (offsets is None or neighbors is None):
+            raise ValueError("pass either adjacency or both offsets and neighbors")
+        if adjacency is not None:
+            lists = [np.asarray(a, dtype=np.int64).ravel() for a in adjacency]
+            offsets = np.cumsum([0] + [a.size for a in lists])
+            neighbors = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        neighbors = np.asarray(neighbors, dtype=np.int64)
+        if offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != neighbors.size:
+            raise ValueError(
+                f"offsets must run from 0 to {neighbors.size} over {n + 1} entries"
+            )
+        self.n, self.m, self.enter_point = n, m, enter_point
+        self.offsets, self.neighbors = offsets, neighbors
+        self.build_params = build_params
+
+    @property
+    def adjacency(self) -> _Adjacency:
+        """Node u's out-edges as adjacency[u], a view of `neighbors`."""
+        return _Adjacency(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TbsgIndex):
@@ -106,14 +173,12 @@ class TbsgIndex:
             self.n == other.n
             and self.m == other.m
             and self.enter_point == other.enter_point
-            and len(self.adjacency) == len(other.adjacency)
-            and all(
-                np.array_equal(a, b) for a, b in zip(self.adjacency, other.adjacency)
-            )
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.neighbors, other.neighbors)
         )
 
     def max_out_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return int(np.diff(self.offsets).max(initial=0))
 
 
 def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
@@ -126,7 +191,7 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         raise ValueError("cannot build an index over an empty dataset")
     tree = build_cover_tree(dataset, base=params.base, seed=params.seed)
     if n == 1:
-        return TbsgIndex(1, params.m, tree.root, [np.empty(0, dtype=np.int64)], params)
+        return TbsgIndex(1, params.m, tree.root, [[]], params)
     kg = build_knng(
         dataset,
         params.K,
@@ -145,7 +210,8 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         static_r=static_r,
     )
     x = dataset.vectors64
-    adjacency: list[np.ndarray] = []
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    neighbors: list[int] = []
     for s in range(n):
         cand_ids = bg.neighbor_ids(s)
         cand_d = bg.neighbor_dists(s)
@@ -154,9 +220,16 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         if extra.size:
             cand_ids = np.concatenate([cand_ids, extra])
             cand_d = np.concatenate([cand_d, distances_to_many(dataset, x[s], ids=extra)])
-        selected = _select_from_arrays(s, cand_ids, cand_d, strategy, dataset)
-        adjacency.append(np.asarray(selected, dtype=np.int64))
-    return TbsgIndex(n, params.m, tree.root, adjacency, params)
+        neighbors += _select_from_arrays(s, cand_ids, cand_d, strategy, dataset)
+        offsets[s + 1] = len(neighbors)
+    return TbsgIndex(
+        n,
+        params.m,
+        tree.root,
+        build_params=params,
+        offsets=offsets,
+        neighbors=np.asarray(neighbors, dtype=np.int64),
+    )
 
 
 def _search_pool(
@@ -181,6 +254,7 @@ def _search_pool(
         raise ValueError(f"query dim {q.shape[0]} does not match dataset dim {dataset.dim}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query contains NaN or Inf values")
+    offsets, neighbors = index.offsets, index.neighbors
     ep = int(index.enter_point)
     pool = [(float(distances_to_many(dataset, q, ids=[ep])[0]), ep)]
     visited = [False]
@@ -190,7 +264,8 @@ def _search_pool(
     cur = 0
     while True:
         visited[cur] = True
-        nbrs = index.adjacency[pool[cur][1]]
+        u = pool[cur][1]
+        nbrs = neighbors[offsets[u] : offsets[u + 1]]
         fresh = nbrs[~seen[nbrs]]
         low = cur + 1
         if fresh.size:
@@ -233,12 +308,17 @@ def search_knn_with_stats(
 
 def reachable_fraction(index: TbsgIndex) -> float:
     """Fraction of nodes reachable from the enter point along out-edges,
-    found one BFS level at a time."""
+    found one BFS level at a time with one gather from the CSR per level."""
     seen = np.zeros(index.n, dtype=bool)
     frontier = np.asarray([index.enter_point], dtype=np.int64)
     seen[frontier] = True
     while frontier.size:
-        nbrs = np.concatenate([index.adjacency[u] for u in frontier.tolist()])
+        starts = index.offsets[frontier]
+        counts = index.offsets[frontier + 1] - starts
+        # Entry j of the level's concatenated lists, when it falls in frontier
+        # node i's list, sits at neighbors[starts[i] + j - (entries before it)].
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        nbrs = index.neighbors[np.arange(shift.size) + shift]
         frontier = _sorted_unique(nbrs[~seen[nbrs]])
         seen[frontier] = True
     return float(seen.sum() / index.n)
@@ -247,16 +327,8 @@ def reachable_fraction(index: TbsgIndex) -> float:
 def save_index(index: TbsgIndex, path) -> None:
     """Write the index: magic, format version, n, m, enter point, then each
     node's degree-prefixed id list, all little-endian u32."""
-    degrees = np.asarray([len(a) for a in index.adjacency], dtype=np.int64)
-    total = int(index.n + degrees.sum())
-    payload = np.empty(total, dtype="<u4")
-    slots = np.zeros(index.n + 1, dtype=np.int64)
-    np.cumsum(degrees + 1, out=slots[1:])
-    payload[slots[:-1]] = degrees
-    mask = np.ones(total, dtype=bool)
-    mask[slots[:-1]] = False
-    if total > index.n:
-        payload[mask] = np.concatenate(index.adjacency)
+    degrees = np.diff(index.offsets)
+    payload = np.insert(index.neighbors.astype("<u4"), index.offsets[:-1], degrees)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIII", _FORMAT_VERSION, index.n, index.m, index.enter_point))
@@ -281,22 +353,26 @@ def load_index(path) -> TbsgIndex:
         raise FormatError(f"{path}: index holds no nodes")
     if ep >= n:
         raise FormatError(f"{path}: enter point {ep} out of range")
-    flat = words.tolist()
+    # Degrees and ids interleave, so finding each node's degree word is a
+    # sequential walk; it reads native-order words through a memoryview
+    # (zero-copy on little-endian hosts) instead of converting every word.
+    flat = memoryview(words.astype(np.uint32, copy=False))
+    size = len(flat)
     heads = []
     pos = 0
     for u in range(n):
-        if pos >= len(flat):
+        if pos >= size:
             raise FormatError(f"{path}: truncated at node {u}")
         heads.append(pos)
         pos += flat[pos] + 1
-        if pos > len(flat):
+        if pos > size:
             raise FormatError(f"{path}: truncated neighbor list at node {u}")
-    if pos != len(flat):
-        raise FormatError(f"{path}: {4 * (len(flat) - pos)} trailing bytes")
-    ids = words.astype(np.int64)
-    ids[heads] = 0
-    if ids.max() >= n:
-        u = bisect_right(heads, int(np.argmax(ids >= n))) - 1
+    if pos != size:
+        raise FormatError(f"{path}: {4 * (size - pos)} trailing bytes")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(words[heads], out=offsets[1:])
+    neighbors = np.delete(words, heads).astype(np.int64)
+    if neighbors.size and neighbors.max() >= n:
+        u = int(np.searchsorted(offsets, np.argmax(neighbors >= n), side="right")) - 1
         raise FormatError(f"{path}: neighbor id out of range at node {u}")
-    adjacency = [ids[a + 1 : b] for a, b in zip(heads, heads[1:] + [len(flat)])]
-    return TbsgIndex(n, m, ep, adjacency, None)
+    return TbsgIndex(n, m, ep, offsets=offsets, neighbors=neighbors)

@@ -1,6 +1,7 @@
 """Index construction, best-first search, persistence, and connectivity."""
 
 import struct
+from collections import deque
 
 import numpy as np
 import pytest
@@ -290,7 +291,34 @@ class TestLayerHooks:
         assert calls.get("distances_to_many", 0) > before
 
 
+def _bfs_fraction(index):
+    """Reachable fraction by a plain Python BFS over the per-node view."""
+    seen = {index.enter_point}
+    queue = deque(seen)
+    while queue:
+        for v in index.adjacency[queue.popleft()].tolist():
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) / index.n
+
+
 class TestReachableFraction:
+    @pytest.mark.parametrize(
+        "n,dim,clusters,spread,K,m",
+        [
+            (300, 8, 2, 0.8, 10, 10),
+            (400, 16, 1, 1.0, 10, 4),
+            # Tight far-apart clusters with a small K leave most nodes unreachable.
+            (400, 4, 20, 0.01, 5, 5),
+        ],
+    )
+    def test_built_graphs_match_plain_bfs(self, n, dim, clusters, spread, K, m):
+        ds = generate_synthetic(n, dim, clusters=clusters, spread=spread, seed=n + K)
+        for r_mode in ("dynamic", "static"):
+            index = build_tbsg(ds, TbsgParams(K=K, m=m, iterations=4, r_mode=r_mode, seed=1))
+            assert reachable_fraction(index) == _bfs_fraction(index)
+
     def test_hand_built_graphs(self):
         chain = TbsgIndex(
             n=3, m=1, enter_point=0,
@@ -302,6 +330,69 @@ class TestReachableFraction:
             adjacency=[np.array([1]), np.array([0]), np.array([3]), np.array([2])],
         )
         assert reachable_fraction(islands) == 0.5
+        # Empty lists inside a BFS level gather nothing.
+        fan = TbsgIndex(
+            n=5, m=3, enter_point=4,
+            adjacency=[np.array([], dtype=np.int64), np.array([3]), [], [], np.array([0, 2, 1])],
+        )
+        assert reachable_fraction(fan) == _bfs_fraction(fan) == 1.0
+
+
+class TestCsrLayout:
+    LISTS = [[1, 3], [], [0], [], [0, 1, 2]]
+
+    def test_adjacency_view_behaves_like_a_list(self):
+        index = TbsgIndex(n=5, m=3, enter_point=0, adjacency=self.LISTS)
+        view = index.adjacency
+        assert len(view) == 5
+        assert [a.tolist() for a in view] == self.LISTS
+        assert [view[u].size for u in range(5)] == [2, 0, 1, 0, 3]
+        assert view[4].tolist() == view[-1].tolist() == [0, 1, 2]
+        assert view[np.int64(2)].tolist() == [0]
+        assert view[1].tolist() == [] and view[1].dtype == np.int64
+        for past in (5, -6):
+            with pytest.raises(IndexError):
+                view[past]
+        assert index.offsets.tolist() == [0, 2, 2, 3, 3, 6]
+        assert index.neighbors.tolist() == [1, 3, 0, 0, 1, 2]
+        assert index.max_out_degree() == 3
+
+    def test_assigning_a_node_relays_the_arrays(self):
+        index = TbsgIndex(n=5, m=3, enter_point=0, adjacency=self.LISTS)
+        expected = [list(a) for a in self.LISTS]
+        for u, ids in ((1, [4, 2, 0]), (4, []), (-5, [2]), (3, [1])):
+            index.adjacency[u] = np.asarray(ids)
+            expected[u] = ids
+            assert index == TbsgIndex(n=5, m=3, enter_point=0, adjacency=expected)
+
+    def test_lists_build_and_load_give_one_csr(self, tmp_path):
+        ds = generate_synthetic(200, 6, clusters=3, spread=0.5, seed=12)
+        built = build_tbsg(ds, TbsgParams(K=10, m=6, iterations=3, seed=5))
+        from_lists = TbsgIndex(
+            n=built.n,
+            m=built.m,
+            enter_point=built.enter_point,
+            adjacency=[a.tolist() for a in built.adjacency],
+        )
+        path = tmp_path / "c.tbsg"
+        save_index(built, path)
+        loaded = load_index(path)
+        for index in (from_lists, loaded):
+            assert index == built
+            assert index.offsets.dtype == index.neighbors.dtype == np.int64
+            assert np.array_equal(index.offsets, built.offsets)
+            assert np.array_equal(index.neighbors, built.neighbors)
+
+    def test_inconsistent_arguments_rejected(self):
+        with pytest.raises(ValueError, match="either"):
+            TbsgIndex(n=1, m=1, enter_point=0)
+        with pytest.raises(ValueError, match="either"):
+            TbsgIndex(n=1, m=1, enter_point=0, adjacency=[[]], offsets=[0, 0], neighbors=[])
+        for offsets in ([0, 1], [0, 0, 0], [1, 1]):
+            with pytest.raises(ValueError, match="offsets"):
+                TbsgIndex(n=1, m=1, enter_point=0, offsets=offsets, neighbors=[])
+        with pytest.raises(ValueError, match="offsets"):
+            TbsgIndex(n=2, m=1, enter_point=0, adjacency=[[1]])
 
 
 class TestPersistence:
@@ -413,6 +504,27 @@ class TestPersistence:
         raw[24:28] = struct.pack("<I", 10_000)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="out of range"):
+            load_index(path)
+
+    @pytest.mark.parametrize("node,slot", [(0, 1), (2, 0), (4, 2)])
+    def test_out_of_range_id_names_its_node(self, tmp_path, node, slot):
+        adjacency = [[1, 3], [], [0], [], [0, 1, 2]]
+        index = TbsgIndex(n=5, m=3, enter_point=0, adjacency=adjacency)
+        path = tmp_path / "o.tbsg"
+        save_index(index, path)
+        raw = bytearray(path.read_bytes())
+        word = 5 + sum(1 + len(a) for a in adjacency[:node]) + 1 + slot
+        raw[4 * word : 4 * word + 4] = struct.pack("<I", 5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"out of range at node {node}$"):
+            load_index(path)
+
+    def test_node_count_past_the_file_is_truncation(self, tmp_path):
+        # n comes from the header; the walk must stop at the data, not
+        # allocate per node first.
+        path = tmp_path / "n"
+        path.write_bytes(b"TBSG" + struct.pack("<IIIIII", 1, 2**32 - 1, 3, 0, 0, 0))
+        with pytest.raises(FormatError, match="truncated at node 2$"):
             load_index(path)
 
     def test_enter_point_out_of_range(self, tmp_path):
