@@ -200,7 +200,6 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         seed=params.seed,
         exact=_exact_is_cheaper(n, params.K, params.sample_rate),
     )
-    bg = add_reverse_edges(kg)
     static_r = kg.dists[:, 0].copy() if params.r_mode == "static" else None
     strategy = StrategyParams(
         strategy="tbsg",
@@ -209,18 +208,18 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         r_mode=params.r_mode,
         static_r=static_r,
     )
+    # Each node's pool: its bidirected KNNG neighbourhood plus its tree children.
     x = dataset.vectors64
+    kids = [np.asarray(tree.children(s), dtype=np.int64) for s in range(n)]
+    tree_d = [distances_to_many(dataset, x[s], ids=c) for s, c in enumerate(kids) if c.size]
+    tree_src = np.repeat(np.arange(n, dtype=np.int64), [c.size for c in kids])
+    bg = add_reverse_edges(kg, (tree_src, np.concatenate(kids), np.concatenate(tree_d)))
     offsets = np.zeros(n + 1, dtype=np.int64)
     neighbors: list[int] = []
     for s in range(n):
-        cand_ids = bg.neighbor_ids(s)
-        cand_d = bg.neighbor_dists(s)
-        kids = np.asarray(tree.children(s), dtype=np.int64)
-        extra = kids[~np.isin(kids, cand_ids)]
-        if extra.size:
-            cand_ids = np.concatenate([cand_ids, extra])
-            cand_d = np.concatenate([cand_d, distances_to_many(dataset, x[s], ids=extra)])
-        neighbors += _select_from_arrays(s, cand_ids, cand_d, strategy, dataset)
+        neighbors += _select_from_arrays(
+            s, bg.neighbor_ids(s), bg.neighbor_dists(s), strategy, dataset
+        )
         offsets[s + 1] = len(neighbors)
     return TbsgIndex(
         n,
@@ -232,11 +231,19 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
     )
 
 
-def _search_pool(
-    index: TbsgIndex, dataset: Dataset, query, l: int
+def search_knn(
+    index: TbsgIndex, dataset: Dataset, query, sp: SearchParams
+) -> list[int]:
+    """k nearest neighbor ids for the query, ascending by distance."""
+    return search_knn_with_stats(index, dataset, query, sp)[0]
+
+
+def search_knn_with_stats(
+    index: TbsgIndex, dataset: Dataset, query, sp: SearchParams
 ) -> tuple[list[int], int]:
-    """Best-first expansion; returns the final pool ids and the number of
-    distance evaluations (pool insertions attempted, the seed included).
+    """Best-first expansion; returns the k nearest ids found, ascending by
+    distance, and the number of distance evaluations (pool insertions
+    attempted, the seed included).
 
     The pool is a list of at most l (distance, id) tuples kept sorted by
     binary insertion, with a parallel visited list; each step expands the
@@ -254,7 +261,7 @@ def _search_pool(
         raise ValueError(f"query dim {q.shape[0]} does not match dataset dim {dataset.dim}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query contains NaN or Inf values")
-    offsets, neighbors = index.offsets, index.neighbors
+    offsets, neighbors, l = index.offsets, index.neighbors, sp.l
     ep = int(index.enter_point)
     pool = [(float(distances_to_many(dataset, q, ids=[ep])[0]), ep)]
     visited = [False]
@@ -287,23 +294,7 @@ def _search_pool(
             cur = visited.index(False, low)
         except ValueError:
             break
-    return [v for _, v in pool], evals
-
-
-def search_knn(
-    index: TbsgIndex, dataset: Dataset, query, sp: SearchParams
-) -> list[int]:
-    """k nearest neighbor ids for the query, ascending by distance."""
-    pool_ids, _ = _search_pool(index, dataset, query, sp.l)
-    return pool_ids[: sp.k]
-
-
-def search_knn_with_stats(
-    index: TbsgIndex, dataset: Dataset, query, sp: SearchParams
-) -> tuple[list[int], int]:
-    """Same as search_knn, also returning the distance-evaluation count."""
-    pool_ids, evals = _search_pool(index, dataset, query, sp.l)
-    return pool_ids[: sp.k], evals
+    return [v for _, v in pool[: sp.k]], evals
 
 
 def reachable_fraction(index: TbsgIndex) -> float:

@@ -8,8 +8,8 @@ little per pair, so it is the cheaper one up to tens of thousands of points
 _exact_is_cheaper() holds the cost model build_tbsg uses to pick one, and
 NN-descent takes over past its crossover. The exact builder is also the
 quality oracle for NN-descent. add_reverse_edges() closes the graph under
-edge reversal, producing the variable-degree candidate source the index
-builder consumes.
+edge reversal, together with any one-way edges, producing the
+variable-degree candidate pools the index builder prunes.
 
 Everything here is deterministic for a fixed seed: random draws come from one
 PCG64 stream, and every merge breaks ties by ascending id.
@@ -98,8 +98,10 @@ class KnnGraph:
 class BKnnGraph:
     """CSR adjacency: node u's entries sit in slice offsets[u]:offsets[u+1].
 
-    Symmetric by construction — (u, v) present implies (v, u) present. Each
-    node's slice is sorted ascending by (distance, id).
+    Symmetric over KNNG edges: a KNNG edge (u, v) is present both ways. The
+    one-way edges add_reverse_edges may also take are not reversed. Each
+    node's slice is sorted ascending by (distance, id), holds each id once
+    and never u itself.
     """
 
     offsets: np.ndarray
@@ -241,29 +243,27 @@ def knng_recall(approx: KnnGraph, exact: KnnGraph) -> float:
     return hits / (approx.n * approx.k_eff)
 
 
-def add_reverse_edges(kg: KnnGraph) -> BKnnGraph:
-    """Union of the graph's edges with their reversals, deduplicated."""
+def add_reverse_edges(kg: KnnGraph, one_way=None) -> BKnnGraph:
+    """Union of the graph's edges, their reversals and the optional one-way
+    edges (src, dst, dist arrays, not reversed): per node, every distinct
+    neighbor once, in (distance, id) order, with no self entry.
+
+    One sort by (node, distance, id) does it. Every copy of a pair carries the
+    same distance bits (l2_batch is symmetric, as _merge_shard also relies
+    on), so the copies of a (node, id) sort next to each other and all but the
+    first are dropped.
+    """
     n, k = kg.ids.shape
-    if k == 0:
-        return BKnnGraph(
-            np.zeros(n + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = kg.ids.ravel().astype(np.int64)
     d = kg.dists.ravel().astype(np.float64)
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-    all_d = np.concatenate([d, d])
-    key = all_src * np.int64(n) + all_dst
-    order = np.lexsort((all_d, key))
-    kept = order[_run_starts(key[order])]
-    src_u, dst_u, d_u = all_src[kept], all_dst[kept], all_d[kept]
-    by_node = np.lexsort((dst_u, d_u, src_u))
-    src_s, dst_s, d_s = src_u[by_node], dst_u[by_node], d_u[by_node]
-    offsets = np.searchsorted(src_s, np.arange(n + 1, dtype=np.int64))
-    return BKnnGraph(offsets, dst_s, d_s)
+    parts = [(src, dst, d), (dst, src, d)] + ([one_way] if one_way is not None else [])
+    all_src, all_dst, all_d = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((all_dst, all_d, all_src))
+    src_s, dst_s, d_s = all_src[order], all_dst[order], all_d[order]
+    keep = _run_starts(src_s * np.int64(n) + dst_s) & (src_s != dst_s)
+    offsets = np.searchsorted(src_s[keep], np.arange(n + 1, dtype=np.int64))
+    return BKnnGraph(offsets, dst_s[keep], d_s[keep])
 
 
 def _random_neighbor_init(

@@ -209,20 +209,15 @@ def _select_from_arrays(
     params: StrategyParams,
     dataset: Dataset,
 ) -> list[int]:
-    """Scan candidates in (distance, id) order, keeping the non-redundant ones."""
-    order = np.lexsort((cand_ids, cand_d))
-    cand_ids = cand_ids[order]
-    cand_d = cand_d[order]
-    # Zero-length edges (exact duplicates of s) carry no search progress and
-    # break the angle terms; drop them along with any accidental self entry.
-    live = (cand_d > 0.0) & (cand_ids != s)
-    if cand_ids.size > 1:
-        # Repeated ids keep only their first appearance in scan order.
-        by_id = np.argsort(cand_ids, kind="stable")
-        repeats = by_id[1:][cand_ids[by_id[1:]] == cand_ids[by_id[:-1]]]
-        live[repeats] = False
-    cand_ids = cand_ids[live]
-    cand_d = cand_d[live]
+    """Scan candidates in (distance, id) order, keeping the non-redundant ones.
+
+    Precondition: the candidates arrive in that order with no repeated id, as
+    add_reverse_edges' pools and select_neighbors hand them over. Zero-length
+    edges (s itself, exact duplicates of s) carry no search progress and
+    break the angle terms, so they are dropped.
+    """
+    live = cand_d > 0.0
+    cand_ids, cand_d = cand_ids[live], cand_d[live]
     count = cand_ids.shape[0]
     if count == 0:
         return []
@@ -285,13 +280,19 @@ def select_neighbors(
 ) -> list[int]:
     """Pick at most params.m neighbors for s from (id, distance) candidates.
 
-    Candidates are processed in ascending (distance, id) order; the closest
-    is always kept, and each later one is kept unless an already-kept
-    neighbor triggers the strategy's exclusion rule. Returns ids in
-    ascending-distance order.
+    Candidates are processed in ascending (distance, id) order, after
+    dropping s itself and every later copy of a repeated id; the closest is
+    always kept, and each later one is kept unless an already-kept neighbor
+    triggers the strategy's exclusion rule. Returns ids in ascending-distance
+    order.
     """
     cand_ids = np.asarray([c[0] for c in candidates], dtype=np.int64)
     cand_d = np.asarray([c[1] for c in candidates], dtype=np.float64)
     if cand_ids.size and (cand_ids.min() < 0 or cand_ids.max() >= dataset.count):
         raise ValueError("candidate id out of range")
-    return _select_from_arrays(s, cand_ids, cand_d, params, dataset)
+    order = np.lexsort((cand_ids, cand_d))
+    cand_ids, cand_d = cand_ids[order], cand_d[order]
+    # Each id's first appearance in scan order, s excluded.
+    first = np.sort(np.unique(cand_ids, return_index=True)[1])
+    first = first[cand_ids[first] != s]
+    return _select_from_arrays(s, cand_ids[first], cand_d[first], params, dataset)

@@ -1,12 +1,13 @@
 """Deliberately naive reference implementations for equivalence testing.
 
-These re-derive the neighbor-selection scan and the bounded-pool search (and
-its distance-evaluation count) with plain Python loops, sets, and full
-re-sorts: no shared code paths with the library beyond the two scalar
-primitives (l2_distance, min_prob), which have their own dedicated tests. The
-exact top-k ranks every query's full row of distances from the batch kernel
-l2_batch, itself tested bitwise against the scalar one. The library's
-vectorized versions must reproduce these outputs exactly, element for element.
+These re-derive the candidate-pool union, the neighbor-selection scan and
+the bounded-pool search (and its distance-evaluation count) with plain Python
+loops, dicts, sets, and full re-sorts: no shared code paths with the library
+beyond the two scalar primitives (l2_distance, min_prob), which have their
+own dedicated tests. The exact top-k ranks every query's full row of
+distances from the batch kernel l2_batch, itself tested bitwise against the
+scalar one. The library's vectorized versions must reproduce these outputs
+exactly, element for element.
 """
 
 from __future__ import annotations
@@ -70,6 +71,28 @@ def literal_select(dataset, s, candidates, params):
         if not excluded:
             selected.append((d_se, e))
     return [e for _, e in selected]
+
+
+def literal_union(kg, one_way=()):
+    """Each node's candidate pool as a sorted list of (distance, id).
+
+    A dict per node collects every KNNG edge in both directions plus the
+    one-way (src, dst, distance) edges in their given direction only; a
+    pair met twice keeps its smaller distance, and self entries are skipped.
+    """
+    pools = [{} for _ in range(kg.ids.shape[0])]
+
+    def add(u, v, d):
+        if u != v:
+            pools[u][v] = min(d, pools[u].get(v, math.inf))
+
+    for u in range(kg.ids.shape[0]):
+        for v, d in zip(kg.ids[u].tolist(), kg.dists[u].tolist()):
+            add(u, v, d)
+            add(v, u, d)
+    for u, v, d in one_way:
+        add(int(u), int(v), float(d))
+    return [sorted((d, v) for v, d in pool.items()) for pool in pools]
 
 
 def literal_search(index, dataset, q, l, k):

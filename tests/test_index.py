@@ -105,6 +105,39 @@ class TestBuild:
             pool = set(bg.neighbor_ids(s).tolist()) | set(tree.children(s))
             assert set(nbrs) <= pool
 
+    @pytest.mark.parametrize("r_mode", ["dynamic", "static"])
+    def test_pruning_gets_each_node_pool_once_sorted(self, monkeypatch, r_mode):
+        # Every row twice and a third copy of some: zero distances, ties and
+        # tree children that are also KNNG neighbors.
+        rows = generate_synthetic(90, 6, clusters=3, spread=0.5, seed=9).vectors
+        ds = Dataset(np.concatenate([rows, rows, rows[:30]]))
+        params = TbsgParams(K=8, m=6, iterations=4, seed=2, r_mode=r_mode)
+        import tbsg.index as index_module
+
+        pools = {}
+        select = index_module._select_from_arrays
+
+        def spy(s, cand_ids, cand_d, *args):
+            pools[s] = (cand_ids.tolist(), cand_d.tolist())
+            return select(s, cand_ids, cand_d, *args)
+
+        monkeypatch.setattr(index_module, "_select_from_arrays", spy)
+        build_tbsg(ds, params)
+        exact = _exact_is_cheaper(ds.count, params.K, params.sample_rate)
+        kg = build_knng(
+            ds, params.K, iterations=params.iterations, seed=params.seed, exact=exact
+        )
+        bg = add_reverse_edges(kg)
+        tree = build_cover_tree(ds, base=params.base, seed=params.seed)
+        x = ds.vectors64
+        assert sorted(pools) == list(range(ds.count))
+        for s, (ids, d) in pools.items():
+            assert set(ids) == set(bg.neighbor_ids(s).tolist()) | set(tree.children(s))
+            assert s not in ids
+            assert d == [l2_distance(x[s], x[v]) for v in ids]
+            pairs = list(zip(d, ids))
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
     def test_degree_cap_tight_m(self):
         ds = generate_synthetic(200, 8, seed=5)
         for m in (1, 3, 30):

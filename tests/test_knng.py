@@ -12,6 +12,7 @@ from tbsg import (
     generate_synthetic,
     knng_recall,
 )
+from tbsg.core import distances_to_many
 from tbsg.knng import (
     KnnGraph,
     _apply_updates,
@@ -20,7 +21,7 @@ from tbsg.knng import (
     _local_join_pairs,
 )
 
-from literal_algos import literal_topk
+from literal_algos import literal_topk, literal_union
 
 
 def check_graph_invariants(kg: KnnGraph, dataset: Dataset) -> None:
@@ -406,6 +407,54 @@ class TestAddReverseEdges:
         assert all((v, u) in edges for (u, v) in edges)
         for u in range(200):
             assert set(kg.ids[u].tolist()) <= {v for (a, v) in edges if a == u}
+
+    @staticmethod
+    def _tied_set(seed, kind):
+        """Small-integer points (many exact duplicates and tied distances) or
+        Gaussian rows each taken twice."""
+        if kind == "grid":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            return Dataset(rng.integers(0, 4, size=(80, 2)).astype(np.float32))
+        rows = generate_synthetic(40, 8, clusters=2, spread=0.5, seed=seed).vectors
+        return Dataset(np.concatenate([rows, rows]))
+
+    @staticmethod
+    def _one_way(ds, seed, count=120):
+        """Random (src, dst, distance) edges, self pairs and repeats included."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        src = rng.integers(0, ds.count, count)
+        dst = rng.integers(0, ds.count, count)
+        dst[:5] = src[:5]
+        src[-10:], dst[-10:] = src[:10], dst[:10]
+        d = np.asarray(
+            [distances_to_many(ds, ds.vectors64[u], ids=[v])[0] for u, v in zip(src, dst)]
+        )
+        return src, dst, d
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["grid", "copies"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_union_matches_literal_reference(self, seed, kind, exact):
+        ds = self._tied_set(seed, kind)
+        kg = build_knng(ds, 6, iterations=3, seed=seed, exact=exact)
+        one_way = self._one_way(ds, seed + 10)
+        kg_pairs = {(u, int(v)) for u in range(ds.count) for v in kg.ids[u]}
+        for extra in (None, one_way):
+            bg = add_reverse_edges(kg, extra)
+            want = literal_union(kg, zip(*extra) if extra is not None else ())
+            for u in range(ds.count):
+                ids, d = bg.neighbor_ids(u).tolist(), bg.neighbor_dists(u).tolist()
+                assert list(zip(d, ids)) == want[u]
+                assert len(set(ids)) == len(ids) and u not in ids
+                assert list(zip(d, ids)) == sorted(zip(d, ids))
+        # A one-way edge (u, v) is not reversed: u joins v's pool only
+        # through the KNNG or a one-way edge (v, u).
+        bg = add_reverse_edges(kg, one_way)
+        one_pairs = set(zip(one_way[0].tolist(), one_way[1].tolist()))
+        covered = one_pairs | kg_pairs | {(v, u) for u, v in kg_pairs}
+        lone = [(u, v) for u, v in one_pairs if u != v and (v, u) not in covered]
+        assert lone
+        assert all(u not in bg.neighbor_ids(v) for u, v in lone)
 
     def test_per_node_lists_sorted_by_distance(self):
         ds = generate_synthetic(100, 4, seed=8)
