@@ -108,13 +108,14 @@ def l2_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
     """L2 distances from `query` to every point (or to the ids given).
 
-    Accumulates in float64; returns a float64 array aligned with `ids`
-    (or with the full dataset when ids is None).
+    `query` is one vector, or one vector per point measured (row i against
+    ids[i]). Accumulates in float64; returns a float64 array aligned with
+    `ids` (or with the full dataset when ids is None).
     """
     q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != dataset.dim:
-        raise ValueError(f"query dimension {q.shape} does not match dataset dim {dataset.dim}")
     rows = dataset.vectors64 if ids is None else dataset.vectors64[ids]
+    if q.shape != (dataset.dim,) and q.shape != rows.shape:
+        raise ValueError(f"query dimension {q.shape} does not match dataset dim {dataset.dim}")
     return l2_batch(rows, q)
 
 

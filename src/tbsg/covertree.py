@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, distances_to_many, l2_distance
+from .core import Dataset, l2_batch, l2_distance
 
 __all__ = ["CoverTree", "build_cover_tree"]
 
@@ -30,7 +30,8 @@ class CoverTree:
         n = dataset.count
         self._level = np.zeros(n, dtype=np.int64)
         self._parent = np.full(n, -1, dtype=np.int64)
-        self._children: list[list[int]] = [[] for _ in range(n)]
+        # Node p's children in insertion order, one int64 id array per node.
+        self._kids: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
         self._present = np.zeros(n, dtype=bool)
         self._present[self.root] = True
 
@@ -49,7 +50,11 @@ class CoverTree:
 
     def children(self, p: int) -> list[int]:
         self._check_member(p)
-        return list(self._children[p])
+        return self._kids[p].tolist()
+
+    def parents(self) -> np.ndarray:
+        """Every point's parent id; -1 for the root and points not inserted."""
+        return self._parent.copy()
 
     def covdist(self, p: int) -> float:
         self._check_member(p)
@@ -77,18 +82,17 @@ class CoverTree:
             self._level[self.root] += 1
         node = self.root
         while True:
-            kids = self._children[node]
-            if kids:
-                kid_ids = np.asarray(kids, dtype=np.int64)
-                d = distances_to_many(self.dataset, x[p], ids=kid_ids)
-                best = int(np.lexsort((kid_ids, d))[0])
-                child = int(kid_ids[best])
-                if d[best] <= self.base ** int(self._level[child]):
+            kids = self._kids[node]
+            if kids.size:
+                d = l2_batch(x[kids], x[p])
+                near = d.min()
+                child = int(kids[d == near].min())
+                if near <= self.base ** int(self._level[child]):
                     node = child
                     continue
             self._parent[p] = node
             self._level[p] = self._level[node] - 1
-            self._children[node].append(p)
+            self._kids[node] = np.append(kids, p)
             self._present[p] = True
             return
 

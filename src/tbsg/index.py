@@ -183,7 +183,8 @@ class TbsgIndex:
 
 def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
     """Construct the index: cover tree + bidirected KNNG (exact or by
-    NN-descent, whichever the cost model finds cheaper), then prune per node."""
+    NN-descent, whichever the cost model finds cheaper), then prune every
+    node's pool."""
     if params is None:
         params = TbsgParams()
     n = dataset.count
@@ -208,26 +209,20 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
         r_mode=params.r_mode,
         static_r=static_r,
     )
-    # Each node's pool: its bidirected KNNG neighbourhood plus its tree children.
-    x = dataset.vectors64
-    kids = [np.asarray(tree.children(s), dtype=np.int64) for s in range(n)]
-    tree_d = [distances_to_many(dataset, x[s], ids=c) for s, c in enumerate(kids) if c.size]
-    tree_src = np.repeat(np.arange(n, dtype=np.int64), [c.size for c in kids])
-    bg = add_reverse_edges(kg, (tree_src, np.concatenate(kids), np.concatenate(tree_d)))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    neighbors: list[int] = []
-    for s in range(n):
-        neighbors += _select_from_arrays(
-            s, bg.neighbor_ids(s), bg.neighbor_dists(s), strategy, dataset
-        )
-        offsets[s + 1] = len(neighbors)
+    # Each node's pool: its bidirected KNNG neighbourhood plus its tree
+    # children, one tree edge per non-root point from its parent.
+    parent = tree.parents()
+    child = np.flatnonzero(parent >= 0)
+    tree_d = distances_to_many(dataset, dataset.vectors64[parent[child]], ids=child)
+    bg = add_reverse_edges(kg, (parent[child], child, tree_d))
+    kept = _select_from_arrays(bg.offsets, bg.ids, bg.dists, strategy, dataset)
     return TbsgIndex(
         n,
         params.m,
         tree.root,
         build_params=params,
-        offsets=offsets,
-        neighbors=np.asarray(neighbors, dtype=np.int64),
+        offsets=np.searchsorted(kept, bg.offsets),
+        neighbors=bg.ids[kept],
     )
 
 

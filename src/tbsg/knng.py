@@ -46,31 +46,50 @@ _CONVERGENCE_DELTA = 0.001
 # pay about d per pair, so d drops out. Measured with 2 BLAS threads on a
 # 2-core Xeon (Python 3.11.7, NumPy 2.4.6 / OpenBLAS), K=20 on one Gaussian
 # unless noted; the ratio is NN-descent's time per proposed pair over the
-# exact build's time per pair:
-#   n x d          exact   NN-descent (10 iterations, KNNG recall)   ratio
-#   4k x 1         0.19 s    3.6 s (1.000)                           126
-#   16k x 1        1.74 s   15.8 s (1.000)                           242
-#   4k x 16        0.12 s    4.0 s (0.987)                           222
-#   16k x 16       1.67 s   24.6 s (0.972)                           393
-#   32k x 16       5.24 s   55.2 s (0.964)                           562
-#   4k x 128       0.35 s    8.0 s (0.750)                           152
-#   16k x 128      2.88 s   42.9 s (0.487)                           397
-#   2k x 960       0.38 s   12.4 s (0.769)                           109
-#   4k x 960       2.14 s   31.1 s (0.625)                            97
-#   12k x 960      8.56 s  121.0 s (0.410)                           283
-#   4k x 16 K=100  0.16 s   17.7 s (1.000)                            82
-#   10k x 16 K=100 1.60 s   71.7 s (0.99997, criterion 06's set)      83
-# The ratio shows no trend in d and grows with n at K=20; the constant sits
-# under every row. That puts the crossover at 48k points for K=20 and 432k
-# for K=100, whatever d. Both are extrapolations, unverified: no run reached
-# the NN-descent side (the largest are 32k at K=20 and 10k at K=100), and no
-# benchmark workload builds there.
+# exact build's time per pair. The exact column is the current builder
+# (mean of two runs; in brackets the builder before the sampled-threshold
+# shortlist and the [q, 1] matmul, measured earlier). NN-descent was
+# measured once, alongside the earlier builder, and the ratio scales it by
+# the current exact time:
+#   n x d          exact           NN-descent (10 iterations, KNNG recall)   ratio
+#   4k x 1         0.10 s (0.19)     3.6 s (1.000)                           252
+#   16k x 1        0.70 s (1.74)    15.8 s (1.000)                           602
+#   4k x 16        0.12 s (0.12)     4.0 s (0.987)                           232
+#   16k x 16       0.87 s (1.67)    24.6 s (0.972)                           754
+#   32k x 16       3.30 s (5.24)    55.2 s (0.964)                           892
+#   4k x 128       0.29 s (0.35)     8.0 s (0.750)                           187
+#   16k x 128      1.92 s (2.88)    42.9 s (0.487)                           596
+#   2k x 960       0.46 s (0.38)    12.4 s (0.769)                            91
+#   4k x 960       1.21 s (2.14)    31.1 s (0.625)                           172
+#   12k x 960      7.06 s (8.56)   121.0 s (0.410)                           343
+#   4k x 16 K=100  0.15 s (0.16)    17.7 s (1.000)                            87
+#   10k x 16 K=100 0.70 s (1.60)    71.7 s (0.99997, criterion 06's set)     190
+# The ratio shows no trend in d and grows with n; the constant still sits
+# under every row, so it is kept, though the faster exact builder would
+# justify a later crossover. That puts the crossover at 48k points for K=20
+# and 432k for K=100, whatever d. Both are extrapolations, unverified: no
+# run reached the NN-descent side (the largest are 32k at K=20 and 10k at
+# K=100), and no benchmark workload builds there.
 _NND_PAIR_COST = 80
 
 # Extra shortlist entries the exact top-k re-ranks beyond k, so that a row
 # falls back to its full scan only when distances tie (or nearly) across
 # this many places at its k-th neighbor.
 _SHORTLIST_PAD = 16
+
+# The sampled-threshold shortlist (_shortlist): from _THRESHOLD_FROM points
+# on, each row's expansions are cut at an order statistic of about
+# _SAMPLE_COLUMNS strided columns, chosen to leave about _SURVIVORS times
+# the shortlist width, before the partition. build_exact_knng at K=20, d=16,
+# same box as above, median of three: full-row partition against the cut
+# 0.048 / 0.067 s at 2k, 0.112 / 0.123 s at 4k, 0.385 / 0.309 s at 8k and
+# 1.445 / 0.840 s at 16k. At 16k, for 256 / 1024 / 4096 sample columns
+# with 2, 3 or 6 times the width: one Gaussian 0.93-0.96 / 0.91, 0.82,
+# 0.97 / 0.91-1.14 s; 100 clusters of spread 0.02 0.82-0.88 / 0.87-0.92 /
+# 0.91-1.17 s.
+_THRESHOLD_FROM = 4096
+_SAMPLE_COLUMNS = 1024
+_SURVIVORS = 3
 
 
 @dataclass
@@ -147,6 +166,51 @@ def _ranked_topk(
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
+def _shortlist(g: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the width smallest values of each row of g, and the
+    smallest value left out.
+
+    From _THRESHOLD_FROM columns on, a row is first cut to the values at or
+    below a low order statistic of a strided sample of its columns, chosen
+    for about _SURVIVORS * width survivors, and only those are partitioned.
+    Every value left out by the cut exceeds every survivor, so a row with
+    more than width survivors gets the same answer as from its full row; a
+    row with fewer is partitioned over its full row.
+    """
+    rows, n = g.shape
+    cand = np.empty((rows, width), dtype=np.int64)
+    left_out = np.empty(rows, dtype=np.float64)
+    full = np.arange(rows)
+    if n >= _THRESHOLD_FROM:
+        sample = g[:, :: max(1, n // _SAMPLE_COLUMNS)]
+        j = min(_SURVIVORS * width * sample.shape[1] // n, sample.shape[1] - 1)
+        cut = np.partition(sample, j, axis=1)[:, j]
+        flat = np.flatnonzero(g <= cut[:, None])
+        row = flat // n
+        counts = np.bincount(row, minlength=rows)
+        ok = counts > width
+        if ok.any():
+            # The survivors of the rows that keep them, one padded row each.
+            sel = ok[row]
+            flat, row = flat[sel], row[sel]
+            slot = _rank_in_run(row)
+            row = (np.cumsum(ok) - 1)[row]
+            vals = np.full((int(ok.sum()), counts.max()), np.inf)
+            cols = np.zeros(vals.shape, dtype=np.int64)
+            vals[row, slot] = g.ravel()[flat]
+            cols[row, slot] = flat % n
+            part = np.argpartition(vals, width, axis=1)
+            cand[ok] = np.take_along_axis(cols, part[:, :width], axis=1)
+            left_out[ok] = np.take_along_axis(vals, part[:, width : width + 1], axis=1)[:, 0]
+        full = np.flatnonzero(~ok)
+    if full.size:
+        g_full = g if full.size == rows else g[full]
+        part = np.argpartition(g_full, width, axis=1)
+        cand[full] = part[:, :width]
+        left_out[full] = np.take_along_axis(g_full, part[:, width : width + 1], axis=1)[:, 0]
+    return cand, left_out
+
+
 def _exact_topk(
     dataset: Dataset, queries64: np.ndarray, k: int, exclude_self: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,12 +219,13 @@ def _exact_topk(
     With exclude_self, query row i is assumed to be dataset point i and is
     removed from its own result. The result is that of ranking a full row of
     l2_batch distances by (distance, id), bit for bit, but mostly only a
-    shortlist is ranked: per block of queries one matmul gives the norm
-    expansion |q|^2 + |x|^2 - 2 q.x of every squared distance, argpartition
-    keeps the k + _SHORTLIST_PAD smallest, and l2_batch re-ranks those. A row
-    whose k-th re-ranked squared distance is not below the smallest expansion
-    left out by more than the rounding bound below (ties at the boundary
-    included) is ranked over its full row instead.
+    shortlist is ranked: per block of queries one matmul of [q, 1] against
+    [-2x, |x|^2] gives the norm expansion |x|^2 - 2 q.x of every squared
+    distance less |q|^2, _shortlist keeps the k + _SHORTLIST_PAD smallest,
+    and l2_batch re-ranks those. A row whose k-th re-ranked squared distance
+    is not below the smallest expansion left out by more than the rounding
+    bound below (ties at the boundary included) is ranked over its full row
+    instead.
     """
     n, dim = dataset.count, dataset.dim
     x = dataset.vectors64
@@ -168,18 +233,20 @@ def _exact_topk(
     ids = np.empty((nq, k), dtype=np.int64)
     dists = np.empty((nq, k), dtype=np.float64)
     width = k + _SHORTLIST_PAD
-    x_sq = np.einsum("ij,ij->i", x, x)
-    # Rounding bound, u the unit roundoff. A float64 dot product over dim
-    # terms, norms included, errs by at most dim*u/(1 - dim*u) times the sum
-    # of its absolute products in any summation order, so an expansion is
-    # within slack*(|q| + max|x|)^2 of the exact squared distance t; its two
-    # additions fit in slack's surplus. A left-out point's
+    # Rounding bound, u the unit roundoff. A float64 dot product over dim + 1
+    # terms, norms included, errs by at most (dim + 1)*u/(1 - (dim + 1)*u)
+    # times the sum of its absolute products in any summation order, so an
+    # expansion is within slack*(|q| + max|x|)^2 of the exact squared
+    # distance t; adding |q|^2 fits in slack's surplus. A left-out point's
     # l2_batch distance squares to at least t*(1 - slack) (difference,
     # square and sum each round), and the k-th re-ranked value times
     # (1 + slack) covers its own rounding and keeps the two apart after sqrt.
     slack = 2.0 * (dim + 8) * np.finfo(np.float64).eps
-    x_reach = float(np.sqrt(x_sq.max()))
-    x_m2 = x * -2.0  # exact scaling: q @ x_m2.T is -2 q.x to the bit
+    # -2x scales exactly, so the matmul's last column adds |x|^2 to -2 q.x.
+    xa = np.empty((n, dim + 1), dtype=np.float64)
+    np.multiply(x, -2.0, out=xa[:, :dim])
+    xa[:, dim] = np.einsum("ij,ij->i", x, x)
+    x_reach = float(np.sqrt(xa[:, dim].max()))
     all_ids = np.arange(n, dtype=np.int64)
     # About 1M expansion values (8 MB) per block: measured fastest at n=10k,
     # d=16, as larger blocks leave the cache for argpartition.
@@ -193,16 +260,15 @@ def _exact_topk(
             q = queries64[start:stop]
             rows = np.arange(stop - start)
             self_ids = rows + start if exclude_self else None
-            # |q|^2 is the same across a row: only the left-out value needs it.
-            g = q @ x_m2.T
-            g += x_sq
+            qa = np.ones((stop - start, dim + 1), dtype=np.float64)
+            qa[:, :dim] = q
+            g = qa @ xa.T
             if exclude_self:
                 g[rows, self_ids] = np.inf
-            part = np.argpartition(g, width, axis=1)
-            cand = part[:, :width]
+            cand, left_out = _shortlist(g, width)
             ids[start:stop], dists[start:stop] = _ranked_topk(q, x[cand], cand, self_ids, k)
             q_sq = np.einsum("ij,ij->i", q, q)
-            left_out = g[rows, part[:, width]] + q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2
+            left_out += q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2
             safe = left_out * (1.0 - slack) > dists[start:stop, -1] ** 2 * (1.0 + slack)
             full = start + np.flatnonzero(~safe)
         for f0 in range(0, full.size, full_block):

@@ -135,9 +135,20 @@ class TestBatchKernels:
         x = self.ds.vectors64
         assert batch.tolist() == [l2_distance(x[i], self.q) for i in ids]
 
+    def test_distances_to_many_one_query_per_id(self):
+        ids = np.array([4, 0, 29, 4])
+        x = self.ds.vectors64
+        queries = x[[1, 2, 3, 5]]
+        batch = distances_to_many(self.ds, queries, ids=ids)
+        assert batch.tolist() == [l2_distance(x[i], q) for i, q in zip(ids, queries)]
+
     def test_distances_to_many_rejects_bad_query(self):
         with pytest.raises(ValueError, match="does not match"):
             distances_to_many(self.ds, np.zeros(3))
+        with pytest.raises(ValueError, match="does not match"):
+            distances_to_many(self.ds, np.zeros((3, 7)), ids=[0, 1])
+        with pytest.raises(ValueError, match="does not match"):
+            distances_to_many(self.ds, np.zeros((1, 7)))
 
     def test_pairwise_matches_scalar_bitwise(self):
         left = np.array([0, 5, 9, 9])

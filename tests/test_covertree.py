@@ -87,6 +87,34 @@ class TestInsert:
         assert tree.parent(2) == 1
         check_invariants(tree, ds)
 
+    def test_equidistant_children_go_to_lowest_id(self):
+        # 2 and 1 both sit at distance sqrt(2) from the root (level 1) and 2
+        # apart, so each is a root child of covdist 1; 3 lies at exactly 1
+        # from both. Inserted in the order 2, 1, the lower id must win.
+        ds = Dataset(np.array([[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]))
+        tree = CoverTree(ds)
+        tree.insert(2)
+        tree.insert(1)
+        assert tree.children(0) == [2, 1]
+        tree.insert(3)
+        assert tree.parent(3) == 1
+        check_invariants(tree, ds)
+
+    def test_children_keep_insertion_order_as_their_array_grows(self):
+        # Eight points on a circle of radius 3 around the root (level 2),
+        # 2.3 apart: each is a root child of covdist 2, so the root's id
+        # array grows with every insert.
+        angles = np.arange(8) * (np.pi / 4)
+        ring = 3.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        ds = Dataset(np.concatenate([np.zeros((1, 2)), ring]))
+        tree = CoverTree(ds)
+        order = [5, 2, 8, 1, 7, 3, 4, 6]
+        for p in order:
+            tree.insert(p)
+        assert tree.children(0) == order
+        assert tree.parents().tolist() == [-1] + [0] * 8
+        check_invariants(tree, ds)
+
 
 class TestBuild:
     def test_two_point_tree(self):

@@ -114,12 +114,12 @@ class TestBuild:
         params = TbsgParams(K=8, m=6, iterations=4, seed=2, r_mode=r_mode)
         import tbsg.index as index_module
 
-        pools = {}
+        calls = []
         select = index_module._select_from_arrays
 
-        def spy(s, cand_ids, cand_d, *args):
-            pools[s] = (cand_ids.tolist(), cand_d.tolist())
-            return select(s, cand_ids, cand_d, *args)
+        def spy(offsets, cand_ids, cand_d, *args):
+            calls.append((offsets.copy(), cand_ids.tolist(), cand_d.tolist()))
+            return select(offsets, cand_ids, cand_d, *args)
 
         monkeypatch.setattr(index_module, "_select_from_arrays", spy)
         build_tbsg(ds, params)
@@ -130,8 +130,14 @@ class TestBuild:
         bg = add_reverse_edges(kg)
         tree = build_cover_tree(ds, base=params.base, seed=params.seed)
         x = ds.vectors64
-        assert sorted(pools) == list(range(ds.count))
-        for s, (ids, d) in pools.items():
+        # One call carries every node's pool, as one CSR pair.
+        assert len(calls) == 1
+        offsets, all_ids, all_d = calls[0]
+        assert offsets.shape == (ds.count + 1,) and offsets[0] == 0
+        assert offsets[-1] == len(all_ids) == len(all_d)
+        for s in range(ds.count):
+            ids = all_ids[offsets[s] : offsets[s + 1]]
+            d = all_d[offsets[s] : offsets[s + 1]]
             assert set(ids) == set(bg.neighbor_ids(s).tolist()) | set(tree.children(s))
             assert s not in ids
             assert d == [l2_distance(x[s], x[v]) for v in ids]

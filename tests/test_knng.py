@@ -149,6 +149,48 @@ class TestExactTopk:
             assert sum(scanned) == full_rows
 
 
+def _large_topk_inputs(kind, n, dim):
+    """float32 data for the sampled-threshold shortlist, which acts from
+    knng._THRESHOLD_FROM points on."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    if kind == "clusters":
+        return generate_synthetic(n, dim, clusters=100, spread=0.02, seed=5).vectors
+    base = rng.standard_normal((n, dim)).astype(np.float32)
+    if kind == "duplicated":
+        return np.concatenate([base[: n // 2], base[: n // 2]])
+    if kind == "sorted":
+        return base[np.argsort(base[:, 0], kind="stable")]
+    return base
+
+
+class TestThresholdShortlist:
+    """From _THRESHOLD_FROM points on, _exact_topk cuts each row at a sampled
+    order statistic before the partition; it must still equal literal_topk
+    bit for bit, on rows whose cut leaves too few survivors included."""
+
+    N = 4100  # past the threshold; n // 1024 leaves a ragged last stride
+
+    @pytest.mark.parametrize("kind", ["gaussian", "clusters", "duplicated", "sorted"])
+    def test_matches_literal_full_scan(self, monkeypatch, kind):
+        assert self.N >= knng_module._THRESHOLD_FROM
+        ds = Dataset(_large_topk_inputs(kind, self.N, 8))
+        x = ds.vectors64
+        want = literal_topk(x, x, 20, True)
+        for k in (1, 20):
+            got = _exact_topk(ds, x, k, True)
+            assert np.array_equal(got[0], want[0][:, :k])
+            assert np.array_equal(got[1], want[1][:, :k])
+        # A cut at the sample's minimum leaves about n / 1024 survivors per
+        # row, fewer than the shortlist needs, so most rows take the full
+        # row; a cut for about one shortlist of survivors sends about half
+        # the rows of each block there.
+        for survivors in (0, 1):
+            monkeypatch.setattr(knng_module, "_SURVIVORS", survivors)
+            got = _exact_topk(ds, x, 20, True)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 class TestNnDescent:
     def test_tiny_n_falls_back_to_exact(self):
         ds = generate_synthetic(10, 4, seed=3)

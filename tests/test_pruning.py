@@ -319,11 +319,11 @@ class TestSelectNeighbors:
             )
 
     def test_matches_literal_reference_across_row_blocks(self):
-        # 60-200 candidates at d >= 16 exceed the row-block budget, so the
-        # scan computes the kept neighbors' rows over several blocks.
+        # 60-200 candidates at d >= 16: the lock-step pass keeps one neighbor
+        # per round and strikes out what it blocks, over many rounds.
         rng = np.random.default_rng(7)
         cases = [("rng", None), ("nssg", None), ("tbsg", "dynamic"), ("tbsg", "static")]
-        multi_block = 0
+        rounds = []
         for t in range(24):
             dim = (16, 64, 128)[t % 3]
             strategy, r_mode = cases[t % 4]
@@ -350,21 +350,65 @@ class TestSelectNeighbors:
                 params = StrategyParams(strategy="rng", m=m)
             expected = literal_select(ds, s, cands, params)
             assert select_neighbors(s, cands, params, ds) == expected, (t, strategy, dim)
-            per_block = max(1, tbsg.pruning._BLOCK_VALUES // (count * dim))
-            multi_block += len(expected) > per_block
-        assert multi_block >= 16
+            rounds.append(len(expected))
+        # Each kept neighbor is one round; most cases run five or more.
+        assert sum(r >= 5 for r in rounds) >= 16
 
 
-class TestRowBlockBudget:
+class TestChunkBudget:
     @pytest.mark.parametrize("n,dim", [(300, 128), (500, 16)])
     @pytest.mark.parametrize("r_mode", ["dynamic", "static"])
     def test_builds_equal_at_budget_extremes(self, monkeypatch, n, dim, r_mode):
-        # The budget only decides which rows are computed together: one row
-        # per block and the whole candidate matrix at once keep the same edges.
-        ds = generate_synthetic(n, dim, clusters=3, spread=1.0, seed=21)
+        # The budget only decides which nodes are pruned together: one node
+        # per chunk, a few nodes per chunk and every node in one chunk keep
+        # the same edges. A third of the rows come twice, so their pools open
+        # with a zero-distance candidate and their static radius is zero,
+        # next to nodes with neither, at every chunk edge.
+        rows = generate_synthetic(n, dim, clusters=3, spread=1.0, seed=21).vectors
+        ds = Dataset(np.concatenate([rows, rows[::3]]))
         params = TbsgParams(K=30, m=20, r_mode=r_mode)
-        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", 1)
-        one_row = build_tbsg(ds, params)
-        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", 1 << 40)
-        whole = build_tbsg(ds, params)
-        assert one_row == whole
+        builds = []
+        for values in (1, 200 * dim, 1 << 40):
+            monkeypatch.setattr(tbsg.pruning, "_CHUNK_VALUES", values)
+            builds.append(build_tbsg(ds, params))
+        assert builds[0] == builds[1] == builds[2]
+        assert builds[0].neighbors.size > ds.count
+
+    @pytest.mark.parametrize("values", [1, 1 << 10, 1 << 40])
+    def test_every_node_matches_literal_reference(self, monkeypatch, values):
+        # Many nodes' pools in one CSR pair, some empty and some opening
+        # with duplicates of their node, pruned at once: each node keeps what
+        # the literal per-node scan keeps, whichever chunks the budget forms.
+        monkeypatch.setattr(tbsg.pruning, "_CHUNK_VALUES", values)
+        rng = np.random.default_rng(13)
+        rows = generate_synthetic(60, 8, clusters=2, spread=1.0, seed=5).vectors
+        ds = Dataset(np.concatenate([rows, rows[:20]]))
+        n = ds.count
+        x = ds.vectors64
+        cases = [
+            StrategyParams(strategy="rng", m=7),
+            StrategyParams(strategy="nssg", alpha_t=0.9, m=9),
+            StrategyParams(strategy="tbsg", mp=0.55, m=8),
+            StrategyParams(
+                strategy="tbsg",
+                mp=0.52,
+                m=12,
+                r_mode="static",
+                static_r=np.where(np.arange(n) % 4 == 0, 0.0, rng.uniform(0.2, 2.0, n)),
+            ),
+        ]
+        for params in cases:
+            pools = []
+            for s in range(n):
+                others = np.delete(np.arange(n), s)
+                ids = rng.choice(others, size=int(rng.integers(0, 50)), replace=False)
+                pools.append(sorted((l2_distance(x[s], x[c]), int(c)) for c in ids))
+            offsets = np.cumsum([0] + [len(p) for p in pools])
+            cand_d = np.asarray([d for p in pools for d, _ in p], dtype=np.float64)
+            cand_ids = np.asarray([c for p in pools for _, c in p], dtype=np.int64)
+            kept = tbsg.pruning._select_from_arrays(offsets, cand_ids, cand_d, params, ds)
+            assert np.all(np.diff(kept) > 0)
+            for s in range(n):
+                mine = kept[(kept >= offsets[s]) & (kept < offsets[s + 1])]
+                want = literal_select(ds, s, [(c, d) for d, c in pools[s]], params)
+                assert cand_ids[mine].tolist() == want, (params.strategy, s)
