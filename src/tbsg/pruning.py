@@ -311,6 +311,8 @@ def select_neighbors(
     triggers the strategy's exclusion rule. Returns ids in ascending-distance
     order.
     """
+    if not 0 <= s < dataset.count:
+        raise ValueError(f"node {s} out of range")
     cand_ids = np.asarray([c[0] for c in candidates], dtype=np.int64)
     cand_d = np.asarray([c[1] for c in candidates], dtype=np.float64)
     if cand_ids.size and (cand_ids.min() < 0 or cand_ids.max() >= dataset.count):

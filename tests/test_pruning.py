@@ -237,6 +237,9 @@ class TestSelectNeighbors:
             select_neighbors(0, [(40, 1.0)], StrategyParams(), self.ds)
         with pytest.raises(ValueError, match="out of range"):
             select_neighbors(0, [(-1, 1.0)], StrategyParams(), self.ds)
+        for s in (-1, 40):
+            with pytest.raises(ValueError, match="node .* out of range"):
+                select_neighbors(s, [(3, 1.0)], StrategyParams(), self.ds)
 
     def test_nssg_angle_threshold(self):
         # v at angle 0 is kept first; a 10-degree candidate falls inside a
