@@ -64,6 +64,13 @@ _CONVERGENCE_DELTA = 0.001
 #   12k x 960      7.06 s (8.56)   121.0 s (0.410)                           343
 #   4k x 16 K=100  0.15 s (0.16)    17.7 s (1.000)                            87
 #   10k x 16 K=100 0.70 s (1.60)    71.7 s (0.99997, criterion 06's set)     190
+# Run again, row by row alternating with the builder of the column (before
+# the cut threshold moved from 4,096 to 5,500 points and the matmul got a
+# reused output buffer), with the box about 1.5x slower than for the
+# column: the two read alike on every row, for example 4k x 16 0.17 /
+# 0.15-0.18 s, 16k x 16 1.60-1.63 / 1.55-1.83 s, 32k x 16 4.91-4.99 /
+# 4.79-4.93 s, 16k x 128 2.87-2.95 / 2.96-3.69 s, 12k x 960 11.6-12.6 /
+# 12.1-13.0 s, so the column stands for the current builder.
 # The ratio shows no trend in d and grows with n; the constant still sits
 # under every row, so it is kept, though the faster exact builder would
 # justify a later crossover. That puts the crossover at 48k points for K=20
@@ -80,14 +87,18 @@ _SHORTLIST_PAD = 16
 # The sampled-threshold shortlist (_shortlist): from _THRESHOLD_FROM points
 # on, each row's expansions are cut at an order statistic of about
 # _SAMPLE_COLUMNS strided columns, chosen to leave about _SURVIVORS times
-# the shortlist width, before the partition. build_exact_knng at K=20, d=16,
-# same box as above, median of three: full-row partition against the cut
-# 0.048 / 0.067 s at 2k, 0.112 / 0.123 s at 4k, 0.385 / 0.309 s at 8k and
-# 1.445 / 0.840 s at 16k. At 16k, for 256 / 1024 / 4096 sample columns
-# with 2, 3 or 6 times the width: one Gaussian 0.93-0.96 / 0.91, 0.82,
-# 0.97 / 0.91-1.14 s; 100 clusters of spread 0.02 0.82-0.88 / 0.87-0.92 /
-# 0.91-1.17 s.
-_THRESHOLD_FROM = 4096
+# the shortlist width, before the partition. build_exact_knng at K=20, d=16
+# on prefixes of generate_synthetic(16000, 16, clusters=1, spread=1.0,
+# seed=7), same box as above, median of three, full-row partition against
+# the cut: 0.056 / 0.084 s at 2k, 0.154-0.202 / 0.180-0.341 s at 4k, 0.246
+# / 0.227-0.308 s at 5k, 0.287 / 0.261 s at 5.5k, 0.383-0.440 / 0.367-0.371
+# s at 6k, 0.585 / 0.458 s at 8k and 1.99-3.19 / 1.37-1.42 s at 16k; on 100
+# clusters of spread 0.02, 0.179 / 0.228 s at 4k, 0.288 / 0.250 s at 5k and
+# 0.360 / 0.333 s at 6k. The cut wins from between 5k and 5.5k points on.
+# Earlier, at 16k, for 256 / 1024 / 4096 sample columns with 2, 3 or 6
+# times the width: one Gaussian 0.93-0.96 / 0.91, 0.82, 0.97 / 0.91-1.14 s;
+# 100 clusters of spread 0.02 0.82-0.88 / 0.87-0.92 / 0.91-1.17 s.
+_THRESHOLD_FROM = 5500
 _SAMPLE_COLUMNS = 1024
 _SURVIVORS = 3
 
@@ -157,21 +168,25 @@ def _ranked_topk(
     q: np.ndarray, xc: np.ndarray, cand: np.ndarray, self_ids, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k best (id, distance) per query row among its candidates, ordered
-    by (l2_batch distance, id): cand holds the ids and xc their rows (or the
-    whole dataset broadcast); a row's own id in self_ids never qualifies."""
+    by (l2_batch distance, id): cand holds the ids, ascending along each row,
+    and xc their rows (or the whole dataset broadcast); a row's own id in
+    self_ids never qualifies."""
     d = l2_batch(q[:, None, :], xc)
     if self_ids is not None:
         d[cand == self_ids[:, None]] = np.inf
-    order = np.lexsort((cand, d), axis=1)[:, :k]
+    # Stable, so equal distances keep cand's ascending id order.
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
-def _shortlist(g: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of the width smallest values of each row of g, and the
-    smallest value left out.
+def _shortlist(
+    g: np.ndarray, width: int, sample: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the width smallest values of each row of g, ascending, and
+    the smallest value left out.
 
-    From _THRESHOLD_FROM columns on, a row is first cut to the values at or
-    below a low order statistic of a strided sample of its columns, chosen
+    With a sample (one row per row of g, values of the same kind), a row is
+    first cut to the values at or below the sample's order statistic chosen
     for about _SURVIVORS * width survivors, and only those are partitioned.
     Every value left out by the cut exceeds every survivor, so a row with
     more than width survivors gets the same answer as from its full row; a
@@ -181,24 +196,26 @@ def _shortlist(g: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     cand = np.empty((rows, width), dtype=np.int64)
     left_out = np.empty(rows, dtype=np.float64)
     full = np.arange(rows)
-    if n >= _THRESHOLD_FROM:
-        sample = g[:, :: max(1, n // _SAMPLE_COLUMNS)]
+    if sample is not None:
         j = min(_SURVIVORS * width * sample.shape[1] // n, sample.shape[1] - 1)
-        cut = np.partition(sample, j, axis=1)[:, j]
-        flat = np.flatnonzero(g <= cut[:, None])
+        sample.partition(j, axis=1)
+        flat = np.flatnonzero(g <= sample[:, j : j + 1])
         row = flat // n
+        col = flat - row * n
         counts = np.bincount(row, minlength=rows)
         ok = counts > width
         if ok.any():
             # The survivors of the rows that keep them, one padded row each.
-            sel = ok[row]
-            flat, row = flat[sel], row[sel]
-            slot = _rank_in_run(row)
-            row = (np.cumsum(ok) - 1)[row]
-            vals = np.full((int(ok.sum()), counts.max()), np.inf)
+            if not ok.all():
+                sel = ok[row]
+                flat, row, col = flat[sel], row[sel], col[sel]
+                row = (np.cumsum(ok) - 1)[row]
+            counts = counts[ok]
+            slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[row]
+            vals = np.full((counts.size, counts.max()), np.inf)
             cols = np.zeros(vals.shape, dtype=np.int64)
             vals[row, slot] = g.ravel()[flat]
-            cols[row, slot] = flat % n
+            cols[row, slot] = col
             part = np.argpartition(vals, width, axis=1)
             cand[ok] = np.take_along_axis(cols, part[:, :width], axis=1)
             left_out[ok] = np.take_along_axis(vals, part[:, width : width + 1], axis=1)[:, 0]
@@ -208,6 +225,7 @@ def _shortlist(g: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         part = np.argpartition(g_full, width, axis=1)
         cand[full] = part[:, :width]
         left_out[full] = np.take_along_axis(g_full, part[:, width : width + 1], axis=1)[:, 0]
+    cand.sort(axis=1)
     return cand, left_out
 
 
@@ -248,10 +266,14 @@ def _exact_topk(
     xa[:, dim] = np.einsum("ij,ij->i", x, x)
     x_reach = float(np.sqrt(xa[:, dim].max()))
     all_ids = np.arange(n, dtype=np.int64)
+    # The sampled cut's columns: about _SAMPLE_COLUMNS evenly strided ones,
+    # their expansions from a matmul of their own.
+    xs = xa[:: max(1, n // _SAMPLE_COLUMNS)].T.copy() if n >= _THRESHOLD_FROM else None
     # About 1M expansion values (8 MB) per block: measured fastest at n=10k,
     # d=16, as larger blocks leave the cache for argpartition.
     block = max(1, (1 << 20) // max(n, width * dim))
     full_block = max(1, (1 << 22) // (n * max(dim, 1)))
+    g_buf = np.empty((min(block, nq), n), dtype=np.float64)
     for start in range(0, nq, block):
         stop = min(start + block, nq)
         if width >= n:
@@ -262,10 +284,12 @@ def _exact_topk(
             self_ids = rows + start if exclude_self else None
             qa = np.ones((stop - start, dim + 1), dtype=np.float64)
             qa[:, :dim] = q
-            g = qa @ xa.T
+            # Into one buffer: a fresh 8 MB result per block cost about a
+            # fifth more time at 16k points.
+            g = np.matmul(qa, xa.T, out=g_buf[: stop - start])
             if exclude_self:
                 g[rows, self_ids] = np.inf
-            cand, left_out = _shortlist(g, width)
+            cand, left_out = _shortlist(g, width, None if xs is None else qa @ xs)
             ids[start:stop], dists[start:stop] = _ranked_topk(q, x[cand], cand, self_ids, k)
             q_sq = np.einsum("ij,ij->i", q, q)
             left_out += q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2

@@ -1,6 +1,7 @@
 """Deliberately naive reference implementations for equivalence testing.
 
-These re-derive the candidate-pool union, the neighbor-selection scan and
+These re-derive the cover tree's one-point-at-a-time insert, the
+candidate-pool union, the neighbor-selection scan and
 the bounded-pool search (and its distance-evaluation count) with plain Python
 loops, dicts, sets, and full re-sorts: no shared code paths with the library
 beyond the two scalar primitives (l2_distance, min_prob), which have their
@@ -173,3 +174,39 @@ def literal_topk(x, queries, k, exclude_self):
         ids[start : start + q.shape[0]] = order
         dists[start : start + q.shape[0]] = np.take_along_axis(d, order, axis=1)
     return ids, dists
+
+
+def literal_cover_tree(dataset, base, order):
+    """Cover tree by inserting the points of order one at a time, root 0.
+
+    Each insert descends from the root: the child at the smallest
+    l2_distance (lowest id on ties) absorbs the point when it lies inside
+    the child's covering ball base ** level; otherwise the point becomes a
+    child of the current node one level down. Returns (parent, level,
+    children) as plain lists, children in insertion order.
+    """
+    x = dataset.vectors64
+    n = dataset.count
+    parent = [-1] * n
+    level = [0] * n
+    children = [[] for _ in range(n)]
+    for p in order:
+        p = int(p)
+        d_root = l2_distance(x[0], x[p])
+        while base ** level[0] < d_root:
+            level[0] += 1
+        node = 0
+        while True:
+            best = None
+            for c in children[node]:
+                d = l2_distance(x[c], x[p])
+                if best is None or (d, c) < best:
+                    best = (d, c)
+            if best is not None and best[0] <= base ** level[best[1]]:
+                node = best[1]
+                continue
+            break
+        parent[p] = node
+        level[p] = level[node] - 1
+        children[node].append(p)
+    return parent, level, children

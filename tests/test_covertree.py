@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from tbsg import CoverTree, Dataset, build_cover_tree, generate_synthetic, l2_distance
+from tbsg import covertree as covertree_module
+from tbsg.core import l2_batch
+
+from literal_algos import literal_cover_tree
 
 
 def check_invariants(tree: CoverTree, dataset: Dataset) -> None:
@@ -114,6 +118,82 @@ class TestInsert:
         assert tree.children(0) == order
         assert tree.parents().tolist() == [-1] + [0] * 8
         check_invariants(tree, ds)
+
+
+def _tree_lists(tree: CoverTree, n: int):
+    parent = tree.parents().tolist()
+    level = [tree.level(p) for p in range(n)]
+    return parent, level, [tree.children(p) for p in range(n)]
+
+
+def _tie_heavy_inputs(kind: str) -> Dataset:
+    rng = np.random.Generator(np.random.PCG64(4))
+    if kind == "gaussian":
+        return generate_synthetic(700, 8, clusters=3, spread=0.6, seed=4)
+    if kind == "duplicated":
+        # Every row twice: zero distances, and equal distances to both copies.
+        base = rng.standard_normal((350, 8))
+        return Dataset(np.concatenate([base, base]))
+    if kind == "offset":
+        # A tiny ball far from the origin, in 64-d: coordinates take a few
+        # float32 steps each, so distances often tie or differ by a step,
+        # and the norm expansion's rounding exceeds such gaps.
+        return Dataset(1e3 + 1e-4 * rng.standard_normal((500, 64)))
+    # Small integer points: many exactly equal distances, some at exactly a
+    # covering radius.
+    return Dataset(rng.integers(-3, 4, size=(700, 3)).astype(np.float64))
+
+
+class TestInsertMany:
+    """insert_many batches the descent's distances; the tree must equal one
+    literal insert per point, whatever the batch size."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "duplicated", "grid", "offset"])
+    @pytest.mark.parametrize("base", [2.0, 1.3])
+    def test_equals_one_insert_at_a_time(self, kind, base):
+        ds = _tie_heavy_inputs(kind)
+        n = ds.count
+        order = np.random.Generator(np.random.PCG64(8)).permutation(np.arange(1, n))
+        want = literal_cover_tree(ds, base, order)
+        for batch in (1, 7, 64, n):
+            tree = CoverTree(ds, base=base)
+            for b0 in range(0, order.size, batch):
+                tree.insert_many(order[b0 : b0 + batch])
+            assert _tree_lists(tree, n) == want
+
+    def test_build_equals_literal_inserts(self, monkeypatch):
+        ds = _tie_heavy_inputs("duplicated")
+        order = np.random.Generator(np.random.PCG64(3)).permutation(np.arange(1, ds.count))
+        want = literal_cover_tree(ds, 2.0, order)
+        for batch in (5, 64):
+            monkeypatch.setattr(covertree_module, "_BATCH", batch)
+            assert _tree_lists(build_cover_tree(ds, seed=3), ds.count) == want
+
+    @pytest.mark.parametrize("kind", ["gaussian", "grid", "offset"])
+    def test_root_shortlist_holds_every_nearest(self, kind):
+        # The root step ranks a matmul shortlist; on "offset" data the
+        # expansion's minimum misses the l2_batch nearest in about one row in
+        # six, so only the rounding-bound margin keeps it.
+        x = _tie_heavy_inputs(kind).vectors64
+        ps, kids = np.arange(0, 300), np.arange(300, x.shape[0])
+        who, cand = covertree_module._nearest_shortlist(x, ps, kids)
+        d = l2_batch(x[ps][:, None, :], x[kids])
+        near = kids[np.argmax(d == d.min(axis=1, keepdims=True), axis=1)]
+        kept = set(zip(who.tolist(), cand.tolist()))
+        assert all((i, int(c)) in kept for i, c in enumerate(near))
+        assert np.all(np.diff(who) >= 0)
+
+    def test_rejects_repeats_and_bad_ids(self):
+        tree = CoverTree(Dataset(np.arange(8, dtype=np.float64).reshape(4, 2)))
+        with pytest.raises(ValueError, match="already inserted"):
+            tree.insert_many([1, 2, 1])
+        with pytest.raises(ValueError, match="already inserted"):
+            tree.insert_many([0])
+        with pytest.raises(ValueError, match="out of range"):
+            tree.insert_many([1, 4])
+        assert tree.count == 1
+        tree.insert_many([])
+        assert tree.count == 1
 
 
 class TestBuild:

@@ -166,13 +166,22 @@ def _large_topk_inputs(kind, n, dim):
 class TestThresholdShortlist:
     """From _THRESHOLD_FROM points on, _exact_topk cuts each row at a sampled
     order statistic before the partition; it must still equal literal_topk
-    bit for bit, on rows whose cut leaves too few survivors included."""
+    bit for bit, on rows whose cut leaves too few survivors included. The
+    threshold is lowered to N here to keep the literal scan small."""
 
-    N = 4100  # past the threshold; n // 1024 leaves a ragged last stride
+    N = 4100  # n // 1024 leaves a ragged last stride
 
     @pytest.mark.parametrize("kind", ["gaussian", "clusters", "duplicated", "sorted"])
     def test_matches_literal_full_scan(self, monkeypatch, kind):
-        assert self.N >= knng_module._THRESHOLD_FROM
+        monkeypatch.setattr(knng_module, "_THRESHOLD_FROM", self.N)
+        sampled = []
+        real = knng_module._shortlist
+
+        def spy(g, width, sample):
+            sampled.append(sample is not None)
+            return real(g, width, sample)
+
+        monkeypatch.setattr(knng_module, "_shortlist", spy)
         ds = Dataset(_large_topk_inputs(kind, self.N, 8))
         x = ds.vectors64
         want = literal_topk(x, x, 20, True)
@@ -180,6 +189,7 @@ class TestThresholdShortlist:
             got = _exact_topk(ds, x, k, True)
             assert np.array_equal(got[0], want[0][:, :k])
             assert np.array_equal(got[1], want[1][:, :k])
+        assert sampled and all(sampled)
         # A cut at the sample's minimum leaves about n / 1024 survivors per
         # row, fewer than the shortlist needs, so most rows take the full
         # row; a cut for about one shortlist of survivors sends about half
