@@ -113,7 +113,9 @@ def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
     `ids` (or with the full dataset when ids is None).
     """
     q = np.asarray(query, dtype=np.float64)
-    rows = dataset.vectors64 if ids is None else dataset.vectors64[ids]
+    # take gathers the same rows as fancy indexing at about a third of its
+    # fixed cost, which a search pays once per expansion.
+    rows = dataset.vectors64 if ids is None else dataset.vectors64.take(ids, axis=0)
     if q.shape != (dataset.dim,) and q.shape != rows.shape:
         raise ValueError(f"query dimension {q.shape} does not match dataset dim {dataset.dim}")
     return l2_batch(rows, q)

@@ -248,47 +248,62 @@ def search_knn_with_stats(
     visited. Ids seen once are never re-inserted: anything truncated away was
     strictly beyond a pool boundary that only tightens, so this is observably
     identical to re-inserting and re-truncating.
+
+    The enter point is always expanded first, so it is measured in the same
+    distances_to_many call as its unseen neighbours (a self-edge is dropped)
+    and enters the pool already visited: one kernel call per expansion that
+    finds unseen neighbours. A local flag records once the pool holds l
+    entries; from then on each insertion pops the last entry.
     """
     if dataset.count != index.n:
         raise ValueError(f"dataset has {dataset.count} points, index has {index.n}")
     q = np.asarray(query, dtype=np.float64).ravel()
     if q.shape[0] != dataset.dim:
         raise ValueError(f"query dim {q.shape[0]} does not match dataset dim {dataset.dim}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("query contains NaN or Inf values")
     offsets, neighbors, l = index.offsets, index.neighbors, sp.l
     ep = int(index.enter_point)
-    pool = [(float(distances_to_many(dataset, q, ids=[ep])[0]), ep)]
-    visited = [False]
     seen = np.zeros(index.n, dtype=bool)
     seen[ep] = True
-    evals = 1
+    nbrs = neighbors[offsets[ep] : offsets[ep + 1]]
+    fresh = nbrs[~seen[nbrs]]
+    seen[fresh] = True
+    first = np.concatenate(([ep], fresh))
+    entries = zip(distances_to_many(dataset, q, ids=first).tolist(), first.tolist())
+    pool = [next(entries)]
+    visited = [True]
+    full = l == 1
+    evals = first.size
     cur = 0
     while True:
-        visited[cur] = True
-        u = pool[cur][1]
-        nbrs = neighbors[offsets[u] : offsets[u + 1]]
-        fresh = nbrs[~seen[nbrs]]
         low = cur + 1
-        if fresh.size:
-            seen[fresh] = True
-            evals += fresh.size
-            dists = distances_to_many(dataset, q, ids=fresh)
-            for entry in zip(dists.tolist(), fresh.tolist()):
-                if len(pool) == l and entry >= pool[-1]:
-                    continue
-                pos = bisect_left(pool, entry)
-                pool.insert(pos, entry)
-                visited.insert(pos, False)
-                if len(pool) > l:
-                    pool.pop()
-                    visited.pop()
-                if pos < low:
-                    low = pos
+        for entry in entries:
+            if full and entry >= pool[-1]:
+                continue
+            pos = bisect_left(pool, entry)
+            pool.insert(pos, entry)
+            visited.insert(pos, False)
+            if full:
+                pool.pop()
+                visited.pop()
+            else:
+                full = len(pool) == l
+            if pos < low:
+                low = pos
         try:
             cur = visited.index(False, low)
         except ValueError:
             break
+        visited[cur] = True
+        u = pool[cur][1]
+        nbrs = neighbors[offsets[u] : offsets[u + 1]]
+        fresh = nbrs[~seen[nbrs]]
+        # With nothing fresh, `entries` stays the exhausted iterator.
+        if fresh.size:
+            seen[fresh] = True
+            evals += fresh.size
+            entries = zip(distances_to_many(dataset, q, ids=fresh).tolist(), fresh.tolist())
     return [v for _, v in pool[: sp.k]], evals
 
 

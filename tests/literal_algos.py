@@ -128,27 +128,38 @@ def literal_search(index, dataset, q, l, k):
 
 
 def literal_evals(index, dataset, q, l):
-    """Distance evaluations of literal_search's loop with pool size l.
+    """Distance evaluations of literal_search's loop with pool size l: every
+    id that ever entered the pool cost one distance, the enter point
+    included."""
+    return sum(map(len, literal_expansions(index, dataset, q, l)))
 
-    Runs the same re-sorted, re-truncated pool and returns len(inpool): every
-    id that ever entered the pool cost one distance, the enter point included.
-    """
+
+def literal_expansions(index, dataset, q, l):
+    """Ids first measured by each expansion of literal_search's loop with
+    pool size l, in expansion order and adjacency order; the enter point
+    heads the first expansion's list, and an expansion that finds no new id
+    contributes an empty list."""
     x = dataset.vectors64
-    pool = [(l2_distance(x[index.enter_point], q), index.enter_point)]
+    ep = index.enter_point
+    pool = [(l2_distance(x[ep], q), ep)]
     visited: set[int] = set()
-    inpool = {index.enter_point}
+    inpool = {ep}
+    measured = [[ep]]
     while True:
         cur = next((node for _, node in pool if node not in visited), None)
         if cur is None:
             break
+        if visited:
+            measured.append([])
         visited.add(cur)
         for v in index.adjacency[cur]:
             v = int(v)
             if v not in inpool:
                 inpool.add(v)
+                measured[-1].append(v)
                 pool.append((l2_distance(x[v], q), v))
         pool = sorted(pool)[:l]
-    return len(inpool)
+    return measured
 
 
 def literal_topk(x, queries, k, exclude_self):

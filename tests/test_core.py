@@ -130,10 +130,18 @@ class TestBatchKernels:
         assert batch.tolist() == scalar
 
     def test_distances_to_many_id_subset(self):
-        ids = np.array([4, 0, 29, 4])
-        batch = distances_to_many(self.ds, self.q, ids=ids)
         x = self.ds.vectors64
-        assert batch.tolist() == [l2_distance(x[i], self.q) for i in ids]
+        before = x.copy()
+        for ids in (
+            np.array([4, 0, 29, 4]),
+            [4, 0, 29, 4],
+            [7, 7, 7],
+            np.empty(0, dtype=np.int64),
+        ):
+            batch = distances_to_many(self.ds, self.q, ids=ids)
+            assert batch.shape == (len(ids),)
+            assert batch.tolist() == [l2_distance(x[i], self.q) for i in ids]
+        assert np.array_equal(self.ds.vectors64, before)
 
     def test_distances_to_many_one_query_per_id(self):
         ids = np.array([4, 0, 29, 4])

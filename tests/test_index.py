@@ -27,7 +27,7 @@ from tbsg import (
 from tbsg.bench import brute_force_groundtruth, recall
 from tbsg.knng import _exact_is_cheaper
 
-from literal_algos import literal_evals, literal_search
+from literal_algos import literal_evals, literal_expansions, literal_search
 
 
 class TestParams:
@@ -272,6 +272,18 @@ class TestSearch:
                 search_knn(index, other, np.zeros(4), SearchParams(l=5, k=1))
 
 
+def _self_edge_graph():
+    """12 points on 5 distinct rows; enter point 6 has a self-edge and 8
+    other neighbours."""
+    rows = [[0, 0], [1, 0], [1, 0], [0, 1], [1, 0], [0, 1], [2, 2], [0, 0], [1, 1], [1, 1], [2, 2], [0, 1]]
+    adjacency = [
+        [6, 11], [], [8, 10, 11], [4], [], [3, 7],
+        [6, 9, 2, 4, 1, 0, 7, 3, 5], [10], [], [10, 8], [6], [8, 1],
+    ]
+    index = TbsgIndex(n=12, m=9, enter_point=6, adjacency=adjacency)
+    return Dataset(np.array(rows, dtype=np.float64)), index
+
+
 class TestSearchMatchesLiteral:
     """Ids and evals equal the literal re-sorting reference where ties decide
     the result: exact-duplicate rows put equal distances in the pool, which
@@ -302,6 +314,17 @@ class TestSearchMatchesLiteral:
                 got = search_knn_with_stats(index, ds, q, SearchParams(l=l, k=k))
                 assert got == (literal_search(index, ds, q, l, k), literal_evals(index, ds, q, l))
 
+    @pytest.mark.parametrize("l", [1, 3, 12, 24])
+    def test_enter_point_with_self_edge_and_more_neighbours_than_l(self, l):
+        # The enter point is measured in one call with its neighbours; its
+        # self-edge must cost no evaluation, and the first batch, cut to l,
+        # must rank its ties by id.
+        ds, index = _self_edge_graph()
+        for q in (ds.vectors64[1], np.array([0.5, 0.5])):
+            k = min(l, 3)
+            got = search_knn_with_stats(index, ds, q, SearchParams(l=l, k=k))
+            assert got == (literal_search(index, ds, q, l, k), literal_evals(index, ds, q, l))
+
 
 class TestLayerHooks:
     def test_build_and_search_look_up_layer_entry_points_in_index_module(self, monkeypatch):
@@ -328,6 +351,43 @@ class TestLayerHooks:
         before = calls.get("distances_to_many", 0)
         search_knn(index, ds, ds.vector(7), SearchParams(l=10, k=3))
         assert calls.get("distances_to_many", 0) > before
+
+    @pytest.mark.parametrize("graph", ["self-edge", "random", "built"])
+    def test_search_makes_one_kernel_call_per_expansion_with_fresh_ids(self, monkeypatch, graph):
+        # The enter point shares the first expansion's call; an expansion
+        # that finds no unseen neighbour makes no call.
+        import tbsg.index as index_module
+
+        calls = []
+        kernel = index_module.distances_to_many
+
+        def recorded(dataset, query, ids=None):
+            calls.append(np.asarray(ids).tolist())
+            return kernel(dataset, query, ids=ids)
+
+        if graph == "self-edge":
+            ds, index = _self_edge_graph()
+        else:
+            ds = generate_synthetic(80, 4, clusters=3, spread=0.5, seed=5)
+            index = build_tbsg(ds, TbsgParams(K=8, m=6, iterations=3, seed=1))
+            if graph == "random":
+                rng = np.random.default_rng(3)
+                index = TbsgIndex(
+                    n=80,
+                    m=6,
+                    enter_point=int(index.enter_point),
+                    adjacency=[
+                        rng.choice(80, size=int(rng.integers(0, 7)), replace=False) for _ in range(80)
+                    ],
+                )
+        monkeypatch.setattr(index_module, "distances_to_many", recorded)
+        for q in (ds.vectors64[1], np.full(ds.dim, 0.5)):
+            for l in (1, 3, 10, ds.count):
+                calls.clear()
+                _, evals = search_knn_with_stats(index, ds, q, SearchParams(l=l, k=1))
+                assert calls == [ids for ids in literal_expansions(index, ds, q, l) if ids]
+                assert calls[0][0] == index.enter_point
+                assert sum(map(len, calls)) == evals
 
 
 def _bfs_fraction(index):
