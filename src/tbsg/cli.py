@@ -71,8 +71,6 @@ def _build_params(args: argparse.Namespace) -> TbsgParams:
         K=merged["K"],
         m=merged["m"],
         mp=merged["mp"],
-        iterations=args.iterations,
-        sample_rate=args.sample_rate,
         base=args.base,
         r_mode=args.r_mode,
         seed=args.seed,
@@ -85,8 +83,6 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--K", type=int, default=None, help="KNNG neighbor count")
     parser.add_argument("--m", type=int, default=None, help="max out-degree")
     parser.add_argument("--mp", type=float, default=None, help="pruning probability threshold")
-    parser.add_argument("--iterations", type=int, default=10, help="NN-descent rounds")
-    parser.add_argument("--sample-rate", type=float, default=1.0, help="NN-descent sample rate")
     parser.add_argument("--base", type=float, default=2.0, help="cover tree radius ratio")
     parser.add_argument("--r-mode", choices=("dynamic", "static"), default="dynamic")
     parser.add_argument("--seed", type=int, default=0)

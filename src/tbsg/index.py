@@ -20,7 +20,7 @@ import numpy as np
 from .core import Dataset, distances_to_many
 from .covertree import build_cover_tree
 from .io import FormatError
-from .knng import _exact_is_cheaper, _sorted_unique, add_reverse_edges, build_knng
+from .knng import _sorted_unique, add_reverse_edges, build_knng
 from .pruning import StrategyParams, _select_from_arrays
 
 __all__ = [
@@ -41,19 +41,17 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class TbsgParams:
-    """Build configuration; the defaults are the million-scale SIFT-style
-    profile (K=100, m=50, mp=0.53, dynamic radius).
+    """Build configuration; the defaults are the CLI's sift-like profile
+    (K=100, m=50, mp=0.53, dynamic radius).
 
-    iterations and sample_rate tune NN-descent, which builds the KNNG only
-    past the size where the exact graph costs more (knng._exact_is_cheaper;
-    sample_rate also moves that crossover). Below it the KNNG is exact.
+    iterations is validated but acts on nothing, as the KNNG is always exact
+    (its cost grows as n^2); it stays for callers that still pass it.
     """
 
     K: int = 100
     m: int = 50
     mp: float = 0.53
     iterations: int = 10
-    sample_rate: float = 1.0
     base: float = 2.0
     r_mode: str = "dynamic"
     seed: int = 0
@@ -67,8 +65,6 @@ class TbsgParams:
             raise ValueError(f"mp must be >= 0.5, got {self.mp}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.sample_rate <= 1.0:
-            raise ValueError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
         if self.base <= 1.0:
             raise ValueError(f"base must be > 1, got {self.base}")
         if self.r_mode not in ("dynamic", "static"):
@@ -112,9 +108,12 @@ class _Adjacency(Sequence):
         index = self._index
         ids = np.asarray(ids, dtype=np.int64).ravel()
         lo, hi = index.offsets[u], index.offsets[u + 1]
-        index.neighbors = np.concatenate([index.neighbors[:lo], ids, index.neighbors[hi:]])
-        index.offsets = index.offsets.copy()
-        index.offsets[u + 1 :] += ids.size - (hi - lo)
+        neighbors = np.concatenate([index.neighbors[:lo], ids, index.neighbors[hi:]])
+        offsets = index.offsets.copy()
+        offsets[u + 1 :] += ids.size - (hi - lo)
+        # The constructor's checks, before anything changes.
+        TbsgIndex(index.n, index.m, index.enter_point, offsets=offsets, neighbors=neighbors)
+        index.offsets, index.neighbors = offsets, neighbors
 
 
 @dataclass
@@ -153,10 +152,24 @@ class TbsgIndex:
             neighbors = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         neighbors = np.asarray(neighbors, dtype=np.int64)
-        if offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != neighbors.size:
+        if (
+            offsets.shape != (n + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != neighbors.size
+            or (offsets[1:] < offsets[:-1]).any()
+        ):
             raise ValueError(
-                f"offsets must run from 0 to {neighbors.size} over {n + 1} entries"
+                f"offsets must run from 0 to {neighbors.size} over {n + 1} entries, "
+                "never decreasing"
             )
+        if not 0 <= enter_point < n:
+            raise ValueError(f"enter point {enter_point} out of range [0, {n})")
+        # A negative id reads as a uint64 of at least 2**63: one max checks
+        # both ends.
+        wide = neighbors.view(np.uint64)
+        if wide.size and wide.max() >= n:
+            u = int(np.searchsorted(offsets, np.argmax(wide >= n), side="right")) - 1
+            raise ValueError(f"neighbor id out of range at node {u}")
         self.n, self.m, self.enter_point = n, m, enter_point
         self.offsets, self.neighbors = offsets, neighbors
         self.build_params = build_params
@@ -182,9 +195,8 @@ class TbsgIndex:
 
 
 def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
-    """Construct the index: cover tree + bidirected KNNG (exact or by
-    NN-descent, whichever the cost model finds cheaper), then prune every
-    node's pool."""
+    """Construct the index: cover tree + bidirected exact KNNG, then prune
+    every node's pool."""
     if params is None:
         params = TbsgParams()
     n = dataset.count
@@ -193,14 +205,7 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
     tree = build_cover_tree(dataset, base=params.base, seed=params.seed)
     if n == 1:
         return TbsgIndex(1, params.m, tree.root, [[]], params)
-    kg = build_knng(
-        dataset,
-        params.K,
-        iterations=params.iterations,
-        sample_rate=params.sample_rate,
-        seed=params.seed,
-        exact=_exact_is_cheaper(n, params.K, params.sample_rate),
-    )
+    kg = build_knng(dataset, params.K, exact=True)
     static_r = kg.dists[:, 0].copy() if params.r_mode == "static" else None
     strategy = StrategyParams(
         strategy="tbsg",
@@ -352,8 +357,6 @@ def load_index(path) -> TbsgIndex:
     words = np.frombuffer(raw, dtype="<u4", offset=20)
     if n == 0:
         raise FormatError(f"{path}: index holds no nodes")
-    if ep >= n:
-        raise FormatError(f"{path}: enter point {ep} out of range")
     # Degrees and ids interleave, so finding each node's degree word is a
     # sequential walk; it reads native-order words through a memoryview
     # (zero-copy on little-endian hosts) instead of converting every word.
@@ -373,7 +376,7 @@ def load_index(path) -> TbsgIndex:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(words[heads], out=offsets[1:])
     neighbors = np.delete(words, heads).astype(np.int64)
-    if neighbors.size and neighbors.max() >= n:
-        u = int(np.searchsorted(offsets, np.argmax(neighbors >= n), side="right")) - 1
-        raise FormatError(f"{path}: neighbor id out of range at node {u}")
-    return TbsgIndex(n, m, ep, offsets=offsets, neighbors=neighbors)
+    try:
+        return TbsgIndex(n, m, ep, offsets=offsets, neighbors=neighbors)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

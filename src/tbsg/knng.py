@@ -2,13 +2,11 @@
 
 Two builders share the KnnGraph container: an exact builder, which ranks a
 blocked-matmul shortlist per node, and a seeded NN-descent loop
-(neighbor-of-my-neighbor refinement). The exact graph costs n^2 distances but
-little per pair, so it is the cheaper one up to tens of thousands of points
-(more at large K);
-_exact_is_cheaper() holds the cost model build_tbsg uses to pick one, and
-NN-descent takes over past its crossover. The exact builder is also the
-quality oracle for NN-descent. add_reverse_edges() closes the graph under
-edge reversal, together with any one-way edges, producing the
+(neighbor-of-my-neighbor refinement). build_tbsg uses the exact graph: it
+costs n^2 distances but little per pair, and it was faster and smaller than
+NN-descent at every size measured, up to 100k points. The exact builder is
+also the quality oracle for NN-descent. add_reverse_edges() closes the graph
+under edge reversal, together with any one-way edges, producing the
 variable-degree candidate pools the index builder prunes.
 
 Everything here is deterministic for a fixed seed: random draws come from one
@@ -40,45 +38,6 @@ _MAX_CANDIDATES = 60
 # Stop refining once a round changes fewer than this fraction of list slots.
 _CONVERGENCE_DELTA = 0.001
 
-# Builder choice: the exact graph when its n^2 pairs are at most
-# _NND_PAIR_COST times NN-descent's proposed pairs, about 1.5 * cap^2 per
-# node per round, that is when n <= _NND_PAIR_COST * 1.5 * cap^2. Both sides
-# pay about d per pair, so d drops out. Measured with 2 BLAS threads on a
-# 2-core Xeon (Python 3.11.7, NumPy 2.4.6 / OpenBLAS), K=20 on one Gaussian
-# unless noted; the ratio is NN-descent's time per proposed pair over the
-# exact build's time per pair. The exact column is the current builder
-# (mean of two runs; in brackets the builder before the sampled-threshold
-# shortlist and the [q, 1] matmul, measured earlier). NN-descent was
-# measured once, alongside the earlier builder, and the ratio scales it by
-# the current exact time:
-#   n x d          exact           NN-descent (10 iterations, KNNG recall)   ratio
-#   4k x 1         0.10 s (0.19)     3.6 s (1.000)                           252
-#   16k x 1        0.70 s (1.74)    15.8 s (1.000)                           602
-#   4k x 16        0.12 s (0.12)     4.0 s (0.987)                           232
-#   16k x 16       0.87 s (1.67)    24.6 s (0.972)                           754
-#   32k x 16       3.30 s (5.24)    55.2 s (0.964)                           892
-#   4k x 128       0.29 s (0.35)     8.0 s (0.750)                           187
-#   16k x 128      1.92 s (2.88)    42.9 s (0.487)                           596
-#   2k x 960       0.46 s (0.38)    12.4 s (0.769)                            91
-#   4k x 960       1.21 s (2.14)    31.1 s (0.625)                           172
-#   12k x 960      7.06 s (8.56)   121.0 s (0.410)                           343
-#   4k x 16 K=100  0.15 s (0.16)    17.7 s (1.000)                            87
-#   10k x 16 K=100 0.70 s (1.60)    71.7 s (0.99997, criterion 06's set)     190
-# Run again, row by row alternating with the builder of the column (before
-# the cut threshold moved from 4,096 to 5,500 points and the matmul got a
-# reused output buffer), with the box about 1.5x slower than for the
-# column: the two read alike on every row, for example 4k x 16 0.17 /
-# 0.15-0.18 s, 16k x 16 1.60-1.63 / 1.55-1.83 s, 32k x 16 4.91-4.99 /
-# 4.79-4.93 s, 16k x 128 2.87-2.95 / 2.96-3.69 s, 12k x 960 11.6-12.6 /
-# 12.1-13.0 s, so the column stands for the current builder.
-# The ratio shows no trend in d and grows with n; the constant still sits
-# under every row, so it is kept, though the faster exact builder would
-# justify a later crossover. That puts the crossover at 48k points for K=20
-# and 432k for K=100, whatever d. Both are extrapolations, unverified: no
-# run reached the NN-descent side (the largest are 32k at K=20 and 10k at
-# K=100), and no benchmark workload builds there.
-_NND_PAIR_COST = 80
-
 # Extra shortlist entries the exact top-k re-ranks beyond k, so that a row
 # falls back to its full scan only when distances tie (or nearly) across
 # this many places at its k-th neighbor.
@@ -89,8 +48,9 @@ _SHORTLIST_PAD = 16
 # _SAMPLE_COLUMNS strided columns, chosen to leave about _SURVIVORS times
 # the shortlist width, before the partition. build_exact_knng at K=20, d=16
 # on prefixes of generate_synthetic(16000, 16, clusters=1, spread=1.0,
-# seed=7), same box as above, median of three, full-row partition against
-# the cut: 0.056 / 0.084 s at 2k, 0.154-0.202 / 0.180-0.341 s at 4k, 0.246
+# seed=7), 2 BLAS threads on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
+# OpenBLAS), median of three, full-row partition against the cut: 0.056 /
+# 0.084 s at 2k, 0.154-0.202 / 0.180-0.341 s at 4k, 0.246
 # / 0.227-0.308 s at 5k, 0.287 / 0.261 s at 5.5k, 0.383-0.440 / 0.367-0.371
 # s at 6k, 0.585 / 0.458 s at 8k and 1.99-3.19 / 1.37-1.42 s at 16k; on 100
 # clusters of spread 0.02, 0.179 / 0.228 s at 4k, 0.288 / 0.250 s at 5k and
@@ -560,13 +520,6 @@ def _join_cap(K: int, sample_rate: float) -> int:
     return max(1, min(int(round(sample_rate * K)), _MAX_CANDIDATES))
 
 
-def _exact_is_cheaper(n: int, K: int, sample_rate: float) -> bool:
-    """Whether the exact KNNG of n points costs less than NN-descent with
-    this K and sample_rate, by the cost model above."""
-    cap = _join_cap(K, sample_rate)
-    return n <= _NND_PAIR_COST * 1.5 * cap * cap
-
-
 def build_knng(
     dataset: Dataset,
     K: int,
@@ -581,7 +534,7 @@ def build_knng(
     recently-added (new) entries against its pools, keeping the K best per
     node, until `iterations` rounds have run or an iteration changes almost
     nothing. iterations, sample_rate and seed act only on NN-descent;
-    build_tbsg passes exact=_exact_is_cheaper(...).
+    build_tbsg passes exact=True.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

@@ -33,7 +33,7 @@ def pipeline(tmp_path_factory):
         ]),
         "build": main([
             "build", "--data", paths["data"], "--out", paths["index"],
-            "--K", "10", "--m", "10", "--iterations", "5",
+            "--K", "10", "--m", "10",
         ]),
         "search": main([
             "search", "--index", paths["index"], "--data", paths["data"],
@@ -148,6 +148,13 @@ class TestUsageErrors:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--sample-rate", "0.5"], ["--iterations", "5"]])
+    def test_retired_nn_descent_flags(self, tmp_path, flag):
+        # The KNNG is always exact, so these would act on nothing.
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--data", "d", "--out", str(tmp_path / "x.tbsg"), *flag])
+        assert exc.value.code == 2
+
 
 class TestDataErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -191,7 +198,7 @@ class TestScale:
         paths, _ = pipeline
         code = main([
             "scale", "--data", paths["data"], "--sizes", "100,200",
-            "--K", "5", "--m", "6", "--iterations", "3", "--l", "20", "--k", "5",
+            "--K", "5", "--m", "6", "--l", "20", "--k", "5",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -202,7 +209,7 @@ class TestScale:
         csv_path = tmp_path / "scale.csv"
         code = main([
             "scale", "--data", paths["data"], "--sizes", "100,200,400",
-            "--K", "5", "--m", "6", "--iterations", "3", "--l", "20", "--k", "5",
+            "--K", "5", "--m", "6", "--l", "20", "--k", "5",
             "--csv", str(csv_path),
         ])
         out = capsys.readouterr().out
@@ -224,7 +231,7 @@ class TestProfiles:
         capsys.readouterr()
         code = main([
             "build", "--data", data, "--out", str(tmp_path / "tiny.tbsg"),
-            "--profile", "gist-like", "--K", "8", "--m", "8", "--iterations", "3",
+            "--profile", "gist-like", "--K", "8", "--m", "8",
         ])
         out = capsys.readouterr().out
         assert code == 0

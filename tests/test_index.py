@@ -14,7 +14,7 @@ from tbsg import (
     TbsgParams,
     add_reverse_edges,
     build_cover_tree,
-    build_knng,
+    build_exact_knng,
     build_tbsg,
     generate_synthetic,
     l2_distance,
@@ -25,7 +25,6 @@ from tbsg import (
     search_knn_with_stats,
 )
 from tbsg.bench import brute_force_groundtruth, recall
-from tbsg.knng import _exact_is_cheaper
 
 from literal_algos import literal_evals, literal_expansions, literal_search
 
@@ -37,8 +36,6 @@ class TestParams:
             dict(m=0),
             dict(mp=0.4),
             dict(iterations=0),
-            dict(sample_rate=0.0),
-            dict(sample_rate=1.1),
             dict(base=1.0),
             dict(r_mode="elastic"),
         ):
@@ -87,12 +84,7 @@ class TestBuild:
         index = build_tbsg(ds, params)
         assert index.max_out_degree() <= params.m
         x = ds.vectors64
-        # The same KNNG builder build_tbsg picks for this input.
-        exact = _exact_is_cheaper(ds.count, params.K, params.sample_rate)
-        kg = build_knng(
-            ds, params.K, iterations=params.iterations, seed=params.seed, exact=exact
-        )
-        bg = add_reverse_edges(kg)
+        bg = add_reverse_edges(build_exact_knng(ds, params.K))
         tree = build_cover_tree(ds, base=params.base, seed=params.seed)
         for s in range(150):
             nbrs = index.adjacency[s].tolist()
@@ -123,11 +115,7 @@ class TestBuild:
 
         monkeypatch.setattr(index_module, "_select_from_arrays", spy)
         build_tbsg(ds, params)
-        exact = _exact_is_cheaper(ds.count, params.K, params.sample_rate)
-        kg = build_knng(
-            ds, params.K, iterations=params.iterations, seed=params.seed, exact=exact
-        )
-        bg = add_reverse_edges(kg)
+        bg = add_reverse_edges(build_exact_knng(ds, params.K))
         tree = build_cover_tree(ds, base=params.base, seed=params.seed)
         x = ds.vectors64
         # One call carries every node's pool, as one CSR pair.
@@ -143,6 +131,26 @@ class TestBuild:
             assert d == [l2_distance(x[s], x[v]) for v in ids]
             pairs = list(zip(d, ids))
             assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+    def test_small_k_prunes_the_exact_knng(self, monkeypatch):
+        # Whatever K, build_tbsg prunes the exact KNNG; NN-descent's graph
+        # here has KNNG recall 0.01.
+        import tbsg.index as index_module
+
+        graphs = []
+        real = index_module.build_knng
+
+        def spy(*args, **kwargs):
+            graphs.append(real(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(index_module, "build_knng", spy)
+        ds = generate_synthetic(200, 8, seed=7)
+        build_tbsg(ds, TbsgParams(K=1, m=4))
+        want = build_exact_knng(ds, 1)
+        assert len(graphs) == 1
+        assert np.array_equal(graphs[0].ids, want.ids)
+        assert np.array_equal(graphs[0].dists, want.dists)
 
     def test_degree_cap_tight_m(self):
         ds = generate_synthetic(200, 8, seed=5)
@@ -492,6 +500,28 @@ class TestCsrLayout:
                 TbsgIndex(n=1, m=1, enter_point=0, offsets=offsets, neighbors=[])
         with pytest.raises(ValueError, match="offsets"):
             TbsgIndex(n=2, m=1, enter_point=0, adjacency=[[1]])
+
+    def test_decreasing_offsets_rejected(self):
+        # They would give save_index a degree word 0xffffffff and
+        # reachable_fraction a negative length.
+        with pytest.raises(ValueError, match="never decreasing"):
+            TbsgIndex(n=3, m=2, enter_point=0, offsets=[0, 2, 1, 2], neighbors=[1, 2])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_neighbor_id_outside_the_nodes_rejected(self, bad):
+        # search_knn would return a -1 here as a neighbor id.
+        with pytest.raises(ValueError, match="out of range at node 0$"):
+            TbsgIndex(n=3, m=1, enter_point=0, adjacency=[[bad], [0], [1]])
+        lists = [[1], [2], [0]]
+        index = TbsgIndex(n=3, m=1, enter_point=0, adjacency=lists)
+        with pytest.raises(ValueError, match="out of range at node 2$"):
+            index.adjacency[2] = [1, bad]
+        assert index == TbsgIndex(n=3, m=1, enter_point=0, adjacency=lists)
+
+    @pytest.mark.parametrize("ep", [-1, 3])
+    def test_enter_point_outside_the_nodes_rejected(self, ep):
+        with pytest.raises(ValueError, match=f"enter point {ep} out of range"):
+            TbsgIndex(n=3, m=1, enter_point=ep, adjacency=[[1], [2], [0]])
 
 
 class TestPersistence:

@@ -16,7 +16,6 @@ from tbsg.core import distances_to_many
 from tbsg.knng import (
     KnnGraph,
     _apply_updates,
-    _exact_is_cheaper,
     _exact_topk,
     _local_join_pairs,
 )
@@ -265,33 +264,6 @@ class TestBuilderChoice:
         assert not joins
         assert np.array_equal(got.ids, want.ids)
         assert np.array_equal(got.dists, want.dists)
-
-    @pytest.mark.parametrize(
-        "n, K",
-        [
-            (1000, 100),  # benchmark desk
-            (1000, 20),  # benchmark search32
-            (500, 100),  # benchmark sift128
-            (10_000, 100),  # criterion 06
-            (16_000, 20),  # criterion 09, largest prefix
-            (32_000, 20),  # largest calibration run
-        ],
-    )
-    def test_exact_at_repo_sizes(self, n, K):
-        assert _exact_is_cheaper(n, K, 1.0)
-
-    @pytest.mark.parametrize(
-        "n, K, sample_rate",
-        [
-            (48_001, 20, 1.0),
-            (432_001, 100, 1.0),
-            # A smaller join pool makes NN-descent cheaper: cap 10, not 60.
-            (12_001, 100, 0.1),
-        ],
-    )
-    def test_nn_descent_past_the_crossover(self, n, K, sample_rate):
-        assert not _exact_is_cheaper(n, K, sample_rate)
-        assert _exact_is_cheaper(n - 1, K, sample_rate)
 
 
 def _join_pairs_reference(new_rect, old_rect, n):
