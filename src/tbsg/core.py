@@ -32,10 +32,6 @@ class Dataset:
         self._vectors.setflags(write=False)
         self._vectors64: np.ndarray | None = None
 
-    @classmethod
-    def from_array(cls, array) -> "Dataset":
-        return cls(np.asarray(array))
-
     @property
     def vectors(self) -> np.ndarray:
         return self._vectors

@@ -19,7 +19,7 @@ __all__ = ["CoverTree", "build_cover_tree"]
 # generate_synthetic(16000, 16, clusters=1, spread=1.0, seed=7), seed 3,
 # median of three, 2-core Xeon (Python 3.11.7, NumPy 2.4.6 / OpenBLAS), for
 # 32 / 64 / 128 / 256 points: 0.74 / 0.63 / 0.83 / 1.02 s at 16k points,
-# against 1.56 s for one insert() per point.
+# against 1.56 s for one point per call.
 _BATCH = 64
 
 
@@ -71,26 +71,22 @@ class CoverTree:
         if not (0 <= p < self._present.shape[0]) or not self._present[p]:
             raise ValueError(f"point {p} is not in the tree")
 
-    def insert(self, p: int) -> None:
-        """Descend from the root and attach p under its nearest covering node.
+    def insert_many(self, points) -> None:
+        """Insert each point p in turn: descend from the root and attach p under
+        its nearest covering node.
 
         At each step the closest child (lowest id on ties) absorbs p if p is
         inside that child's covering ball; otherwise p becomes a new child of
         the current node one level down. The root's level grows first if even
         its ball cannot cover p.
-        """
-        self.insert_many([p])
 
-    def insert_many(self, points) -> None:
-        """insert() each point in turn, with the distances batched.
-
-        First every point descends the tree as it stands, all together
-        (_descend). Then the points are inserted in order, each walking its
-        own descent: where a node it passes gained children from earlier
-        points of the batch, those compete too, measured by the batch's own
-        pair distances, and a point that moves into such a child
-        continues among batch points only. The result equals that of one
-        insert() per point.
+        The distances are batched. First every point descends the tree as it
+        stands, all together (_descend). Then the points are inserted in
+        order, each walking its own descent: where a node it passes gained
+        children from earlier points of the batch, those compete too,
+        measured by the batch's own pair distances, and a point that moves
+        into such a child continues among batch points only. The result
+        equals that of one call per point.
         """
         ps = np.asarray(points, dtype=np.int64).reshape(-1)
         n = self._present.shape[0]

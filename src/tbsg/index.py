@@ -87,7 +87,8 @@ class SearchParams:
 
 class _Adjacency(Sequence):
     """Per-node view over an index's CSR arrays: item u is node u's out-edges,
-    a view of `neighbors`. Assigning an item re-lays both arrays."""
+    a view of `neighbors`. Assigning an item re-packs every node's list
+    through the TbsgIndex constructor."""
 
     def __init__(self, index: TbsgIndex):
         self._index = index
@@ -104,16 +105,12 @@ class _Adjacency(Sequence):
         return self._index.neighbors[offsets[u] : offsets[u + 1]]
 
     def __setitem__(self, u, ids) -> None:
-        u = self._node(u)
+        lists = list(self)
+        lists[self._node(u)] = ids
         index = self._index
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        lo, hi = index.offsets[u], index.offsets[u + 1]
-        neighbors = np.concatenate([index.neighbors[:lo], ids, index.neighbors[hi:]])
-        offsets = index.offsets.copy()
-        offsets[u + 1 :] += ids.size - (hi - lo)
-        # The constructor's checks, before anything changes.
-        TbsgIndex(index.n, index.m, index.enter_point, offsets=offsets, neighbors=neighbors)
-        index.offsets, index.neighbors = offsets, neighbors
+        # The constructor checks the new lists before anything changes.
+        packed = TbsgIndex(index.n, index.m, index.enter_point, lists)
+        index.offsets, index.neighbors = packed.offsets, packed.neighbors
 
 
 @dataclass

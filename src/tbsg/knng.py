@@ -102,12 +102,6 @@ class BKnnGraph:
     def n(self) -> int:
         return self.offsets.shape[0] - 1
 
-    def neighbor_ids(self, u: int) -> np.ndarray:
-        return self.ids[self.offsets[u] : self.offsets[u + 1]]
-
-    def neighbor_dists(self, u: int) -> np.ndarray:
-        return self.dists[self.offsets[u] : self.offsets[u + 1]]
-
 
 def _run_starts(srt: np.ndarray) -> np.ndarray:
     """True where a sorted array (each row, if 2-D) differs from its
@@ -287,9 +281,9 @@ def knng_recall(approx: KnnGraph, exact: KnnGraph) -> float:
         )
     if approx.n == 0 or approx.k_eff == 0:
         return 1.0
-    hits = 0
-    for u in range(approx.n):
-        hits += np.intersect1d(approx.ids[u], exact.ids[u]).size
+    # Each row holds distinct ids, so an id in both rows is a run of two.
+    both = np.sort(np.concatenate([approx.ids, exact.ids], axis=1), axis=1)
+    hits = int(np.count_nonzero(~_run_starts(both)))
     return hits / (approx.n * approx.k_eff)
 
 
@@ -340,16 +334,6 @@ def _random_neighbor_init(
                 have.append(i)
         ids[u] = np.asarray(have[:K], dtype=np.int64)
     return ids
-
-
-def _sort_rows(
-    ids: np.ndarray, dists: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((ids, dists), axis=1)
-    return (
-        np.take_along_axis(ids, order, axis=1),
-        np.take_along_axis(dists, order, axis=1),
-    )
 
 
 def _cap_per_node(
@@ -515,16 +499,10 @@ def _apply_updates(
     return changed
 
 
-def _join_cap(K: int, sample_rate: float) -> int:
-    """Entries per node in each NN-descent round's new and old join pools."""
-    return max(1, min(int(round(sample_rate * K)), _MAX_CANDIDATES))
-
-
 def build_knng(
     dataset: Dataset,
     K: int,
     iterations: int = 10,
-    sample_rate: float = 1.0,
     seed: int = 0,
     exact: bool = False,
 ) -> KnnGraph:
@@ -533,15 +511,14 @@ def build_knng(
     NN-descent starts from random lists and repeatedly joins each node's
     recently-added (new) entries against its pools, keeping the K best per
     node, until `iterations` rounds have run or an iteration changes almost
-    nothing. iterations, sample_rate and seed act only on NN-descent;
+    nothing. Each round's join pools hold up to min(K, _MAX_CANDIDATES)
+    entries per node. iterations and seed act only on NN-descent;
     build_tbsg passes exact=True.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if not 0.0 < sample_rate <= 1.0:
-        raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
     n = dataset.count
     if exact or n <= K + 1:
         return build_exact_knng(dataset, K)
@@ -549,9 +526,11 @@ def build_knng(
     ids = _random_neighbor_init(rng, n, K)
     rows = np.repeat(np.arange(n, dtype=np.int64), K)
     dists = pairwise_distances(dataset, rows, ids.ravel()).reshape(n, K)
-    ids, dists = _sort_rows(ids, dists)
+    order = np.lexsort((ids, dists), axis=1)
+    ids = np.take_along_axis(ids, order, axis=1)
+    dists = np.take_along_axis(dists, order, axis=1)
     flags = np.ones((n, K), dtype=bool)
-    cap = _join_cap(K, sample_rate)
+    cap = min(K, _MAX_CANDIDATES)
     for _ in range(iterations):
         new_rect, old_rect = _sample_candidates(rng, ids, flags, cap)
         pa, pb = _local_join_pairs(new_rect, old_rect, n)

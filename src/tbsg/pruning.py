@@ -77,9 +77,8 @@ class TriangleGeom:
 def _bisector_offset(d_se: float, d_sv: float, d_ve: float) -> float:
     """Signed distance from e to the perpendicular bisector of segment s-v.
 
-    Positive when e lies on v's side (d_ve < d_se). Written with explicit
-    products so the vectorized path in _min_prob_pairs produces the
-    same bits.
+    Positive when e lies on v's side (d_ve < d_se). Takes floats or arrays
+    alike: min_prob and _min_prob_pairs share it.
     """
     return (d_se * d_se - d_ve * d_ve) / (2.0 * d_sv)
 
@@ -201,7 +200,7 @@ def _min_prob_pairs(
     Elementwise mirror of min_prob(): d holds the distances d_ve from each
     pair's v to its e, d_sv and d_se their distances from s, r e's radius.
     """
-    h = (d_se * d_se - d * d) / (2.0 * d_sv)
+    h = _bisector_offset(d_se, d_sv, d)
     return 1.0 - np.arccos(np.clip(h / r, -1.0, 1.0)) / math.pi
 
 

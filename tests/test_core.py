@@ -72,8 +72,9 @@ class TestDataset:
         assert Dataset(a) != Dataset(a[:2])
         assert Dataset(a).__eq__(object()) is NotImplemented
 
-    def test_from_array_accepts_lists(self):
-        assert Dataset.from_array([[1, 2], [3, 4]]).count == 2
+    def test_constructor_accepts_lists(self):
+        ds = Dataset([[1, 2], [3, 4]])
+        assert ds.count == 2 and ds.vectors.dtype == np.float32
 
 
 class TestScalarDistances:

@@ -49,7 +49,7 @@ class TestInsert:
     def test_into_single_root(self):
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]))
         tree = CoverTree(ds)
-        tree.insert(1)
+        tree.insert_many([1])
         assert tree.children(0) == [1]
         assert tree.parent(1) == 0
         assert tree.level(1) == tree.level(0) - 1
@@ -57,24 +57,24 @@ class TestInsert:
     def test_root_level_grows_to_cover(self):
         ds = Dataset(np.array([[0.0], [100.0]]))
         tree = CoverTree(ds)
-        tree.insert(1)
+        tree.insert_many([1])
         assert tree.covdist(0) >= 100.0
         assert tree.children(0) == [1]
 
     def test_duplicate_insert_rejected(self):
         ds = Dataset(np.array([[0.0], [1.0]]))
         tree = CoverTree(ds)
-        tree.insert(1)
+        tree.insert_many([1])
         with pytest.raises(ValueError, match="already inserted"):
-            tree.insert(1)
+            tree.insert_many([1])
         with pytest.raises(ValueError, match="out of range"):
-            tree.insert(2)
+            tree.insert_many([2])
 
     def test_bitwise_duplicate_point_attaches_at_zero_distance(self):
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))
         tree = CoverTree(ds)
-        tree.insert(1)
-        tree.insert(2)
+        tree.insert_many([1])
+        tree.insert_many([2])
         # Point 2 coincides with point 1; zero distance is always covered.
         assert tree.parent(2) == 1
         assert l2_distance(ds.vectors64[1], ds.vectors64[2]) == 0.0
@@ -85,8 +85,8 @@ class TestInsert:
         # become 1's child, not another root child.
         ds = Dataset(np.array([[0.0], [2.0], [2.2]]))
         tree = CoverTree(ds)  # root level 0, covdist 1
-        tree.insert(1)  # root grows to cover distance 2 -> level 1
-        tree.insert(2)
+        tree.insert_many([1])  # root grows to cover distance 2 -> level 1
+        tree.insert_many([2])
         assert tree.parent(1) == 0
         assert tree.parent(2) == 1
         check_invariants(tree, ds)
@@ -97,10 +97,10 @@ class TestInsert:
         # from both. Inserted in the order 2, 1, the lower id must win.
         ds = Dataset(np.array([[0.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]))
         tree = CoverTree(ds)
-        tree.insert(2)
-        tree.insert(1)
+        tree.insert_many([2])
+        tree.insert_many([1])
         assert tree.children(0) == [2, 1]
-        tree.insert(3)
+        tree.insert_many([3])
         assert tree.parent(3) == 1
         check_invariants(tree, ds)
 
@@ -114,7 +114,7 @@ class TestInsert:
         tree = CoverTree(ds)
         order = [5, 2, 8, 1, 7, 3, 4, 6]
         for p in order:
-            tree.insert(p)
+            tree.insert_many([p])
         assert tree.children(0) == order
         assert tree.parents().tolist() == [-1] + [0] * 8
         check_invariants(tree, ds)
@@ -222,7 +222,7 @@ class TestBuild:
         check_invariants(shuffled, ds)
         sequential = CoverTree(ds)
         for p in range(1, ds.count):  # sorted id order instead of a shuffle
-            sequential.insert(p)
+            sequential.insert_many([p])
         check_invariants(sequential, ds)
 
     def test_deterministic_per_seed(self):

@@ -18,6 +18,7 @@ from tbsg.knng import (
     _apply_updates,
     _exact_topk,
     _local_join_pairs,
+    _random_neighbor_init,
 )
 
 from literal_algos import literal_topk, literal_union
@@ -76,6 +77,12 @@ class TestExactKnng:
     def test_k_validation(self):
         with pytest.raises(ValueError, match="K"):
             build_exact_knng(generate_synthetic(5, 2, seed=0), 0)
+
+    def test_empty_dataset_gives_empty_graph(self):
+        ds = Dataset(np.empty((0, 4)))
+        for kg in (build_exact_knng(ds, 5), build_knng(ds, 5), build_knng(ds, 5, exact=True)):
+            assert kg.ids.shape == kg.dists.shape == (0, 0)
+            assert kg.K == 5
 
 
 def _topk_inputs(kind, n, dim, seed):
@@ -220,16 +227,11 @@ class TestNnDescent:
         kg = build_knng(ds, 12, iterations=8, seed=1)
         check_graph_invariants(kg, ds)
 
-    def test_sample_rate_below_one_still_valid(self):
-        ds = generate_synthetic(400, 8, seed=6)
-        kg = build_knng(ds, 12, iterations=8, sample_rate=0.5, seed=1)
-        check_graph_invariants(kg, ds)
-
     def test_converges_on_small_inputs(self):
         # Generously many iterations on n <= 200 must reach the exact graph
         # almost everywhere.
         ds = generate_synthetic(200, 12, clusters=2, spread=0.8, seed=5)
-        approx = build_knng(ds, 10, iterations=40, sample_rate=1.0, seed=5)
+        approx = build_knng(ds, 10, iterations=40, seed=5)
         exact = build_exact_knng(ds, 10)
         assert knng_recall(approx, exact) >= 0.99
 
@@ -239,10 +241,21 @@ class TestNnDescent:
             build_knng(ds, 0)
         with pytest.raises(ValueError, match="iterations"):
             build_knng(ds, 5, iterations=0)
-        with pytest.raises(ValueError, match="sample_rate"):
-            build_knng(ds, 5, sample_rate=0.0)
-        with pytest.raises(ValueError, match="sample_rate"):
-            build_knng(ds, 5, sample_rate=1.5)
+
+    def test_random_init_tops_up_rows_short_of_distinct_draws(self):
+        # At n=12, K=10 and seed 0 the K + 8 draws of several rows hold
+        # fewer than K distinct ids, so they take the smallest unused ones.
+        n, K = 12, 10
+        draws = np.random.Generator(np.random.PCG64(0)).integers(0, n - 1, size=(n, K + 8))
+        assert min(np.unique(row).size for row in draws) < K
+        ids = _random_neighbor_init(np.random.Generator(np.random.PCG64(0)), n, K)
+        assert ids.shape == (n, K)
+        for u in range(n):
+            row = ids[u].tolist()
+            assert len(set(row)) == K and u not in row
+            assert all(0 <= v < n for v in row)
+        again = _random_neighbor_init(np.random.Generator(np.random.PCG64(0)), n, K)
+        assert np.array_equal(ids, again)
 
 
 class TestBuilderChoice:
@@ -397,17 +410,27 @@ class TestKnngRecall:
         assert knng_recall(disjoint, exact) == 0.0
         assert knng_recall(half, exact) == 0.5
 
+    def test_empty_graphs(self):
+        empty = build_exact_knng(Dataset(np.empty((0, 0))), 3)
+        assert knng_recall(empty, empty) == 1.0
+
     def test_shape_mismatch_rejected(self):
         ds = generate_synthetic(30, 4, seed=2)
         with pytest.raises(ValueError, match="mismatch"):
             knng_recall(build_exact_knng(ds, 5), build_exact_knng(ds, 6))
 
 
+def _pool(bg, u):
+    """Node u's (ids, distances) slice of a BKnnGraph."""
+    lo, hi = bg.offsets[u], bg.offsets[u + 1]
+    return bg.ids[lo:hi], bg.dists[lo:hi]
+
+
 class TestAddReverseEdges:
     def _edge_set(self, bg):
         edges = set()
         for u in range(bg.n):
-            for v in bg.neighbor_ids(u):
+            for v in _pool(bg, u)[0]:
                 edges.add((u, int(v)))
         return edges
 
@@ -467,7 +490,7 @@ class TestAddReverseEdges:
             bg = add_reverse_edges(kg, extra)
             want = literal_union(kg, zip(*extra) if extra is not None else ())
             for u in range(ds.count):
-                ids, d = bg.neighbor_ids(u).tolist(), bg.neighbor_dists(u).tolist()
+                ids, d = (a.tolist() for a in _pool(bg, u))
                 assert list(zip(d, ids)) == want[u]
                 assert len(set(ids)) == len(ids) and u not in ids
                 assert list(zip(d, ids)) == sorted(zip(d, ids))
@@ -478,13 +501,13 @@ class TestAddReverseEdges:
         covered = one_pairs | kg_pairs | {(v, u) for u, v in kg_pairs}
         lone = [(u, v) for u, v in one_pairs if u != v and (v, u) not in covered]
         assert lone
-        assert all(u not in bg.neighbor_ids(v) for u, v in lone)
+        assert all(u not in _pool(bg, v)[0] for u, v in lone)
 
     def test_per_node_lists_sorted_by_distance(self):
         ds = generate_synthetic(100, 4, seed=8)
         bg = add_reverse_edges(build_exact_knng(ds, 5))
         for u in range(100):
-            row_d, row_ids = bg.neighbor_dists(u), bg.neighbor_ids(u)
+            row_ids, row_d = _pool(bg, u)
             order = np.lexsort((row_ids, row_d))
             assert np.array_equal(order, np.arange(row_ids.size))
             assert len(set(row_ids.tolist())) == row_ids.size
