@@ -70,7 +70,7 @@ def brute_force_groundtruth(dataset: Dataset, queries: Dataset, k: int) -> Groun
         )
     if not 1 <= k <= dataset.count:
         raise ValueError(f"k must be in [1, {dataset.count}], got {k}")
-    ids, _ = _exact_topk(dataset, queries.vectors64, k, exclude_self=False)
+    ids, _ = _exact_topk(dataset.vectors64, queries.vectors64, k, exclude_self=False)
     return GroundTruth(ids)
 
 

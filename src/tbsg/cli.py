@@ -102,7 +102,7 @@ def _cmd_groundtruth(args) -> int:
     dataset = read_fvecs(args.data)
     queries = read_fvecs(args.queries)
     gt = brute_force_groundtruth(dataset, queries, args.k)
-    write_ivecs(args.out, [row.tolist() for row in gt.ids])
+    write_ivecs(args.out, gt.ids)
     _print_table(
         ["queries", "k", "out"],
         [[queries.count, args.k, args.out]],

@@ -5,6 +5,10 @@ with depth (covdist(p) = base ** level(p)). It serves two purposes here:
 its root is the fixed search entry point, and each node's children join that
 node's candidate pool during graph construction, which ties the whole graph
 together even when the point happens to sit far from its KNNG neighbors.
+
+Every insert starts by finding its nearest root child; knng._exact_topk, the
+package's one matmul-shortlist ranking, does that, so its rounding bound
+lives in knng alone.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, l2_batch, pairwise_distances
+from .knng import _exact_topk
 
 __all__ = ["CoverTree", "build_cover_tree"]
 
@@ -81,12 +86,13 @@ class CoverTree:
         its ball cannot cover p.
 
         The distances are batched. First every point descends the tree as it
-        stands, all together (_descend). Then the points are inserted in
-        order, each walking its own descent: where a node it passes gained
-        children from earlier points of the batch, those compete too,
-        measured by the batch's own pair distances, and a point that moves
-        into such a child continues among batch points only. The result
-        equals that of one call per point.
+        stands, all together (_descend; the root's children are ranked by
+        knng._exact_topk, the exact top-k the KNNG is built with). Then the
+        points are inserted in order, each walking its own descent: where a
+        node it passes gained children from earlier points of the batch,
+        those compete too, measured by the batch's own pair distances, and a
+        point that moves into such a child continues among batch points only.
+        The result equals that of one call per point.
         """
         ps = np.asarray(points, dtype=np.int64).reshape(-1)
         n = self._present.shape[0]
@@ -134,72 +140,41 @@ class CoverTree:
         level at a time: per depth, (child, distance) for the nearest child
         (lowest id on ties) of the node each point has reached, or (-1, inf)
         once it has stopped. A point stops at a node with no children or
-        whose nearest child does not cover it."""
+        whose nearest child does not cover it.
+
+        Every point starts at the root, so one knng._exact_topk call ranks
+        the root's children for the whole batch. They are sorted by id first,
+        so its ties by position are ties by lowest id."""
         x = self.dataset.vectors64
-        steps = []
+        kids = np.sort(self._kids[self.root])
+        if not kids.size:
+            return [[(-1, np.inf)] * ps.size]
+        pos, d = _exact_topk(x[kids], x[ps], 1, exclude_self=False)
+        child, near = kids[pos[:, 0]], d[:, 0]
         node = np.full(ps.size, self.root, dtype=np.int64)
         active = np.arange(ps.size)
-        while active.size:
-            if not steps:
-                # Every point faces the root's children: one matmul.
-                who, cand = _nearest_shortlist(x, ps, self._kids[self.root])
-            else:
-                kids = [self._kids[v] for v in node[active].tolist()]
-                sizes = np.array([k.size for k in kids], dtype=np.int64)
-                who = np.repeat(active, sizes)
-                cand = np.concatenate(kids)
+        steps = []
+        while True:
+            levels = self._level[child[active]].tolist()
+            cover = np.array([self.base ** level for level in levels])
+            active = active[near[active] <= cover]
+            node[active] = child[active]
+            steps.append(list(zip(child.tolist(), near.tolist())))
+            if not active.size:
+                return steps
+            kids = [self._kids[v] for v in node[active].tolist()]
+            sizes = np.array([k.size for k in kids], dtype=np.int64)
+            who = np.repeat(active, sizes)
+            cand = np.concatenate(kids)
+            starts = np.flatnonzero(np.diff(who, prepend=-1))
+            active = who[starts]
+            d = pairwise_distances(self.dataset, ps[who], cand)
+            best = np.repeat(np.minimum.reduceat(d, starts), sizes[sizes > 0])
+            tied = np.where(d == best, cand, np.iinfo(np.int64).max)
             child = np.full(ps.size, -1, dtype=np.int64)
             near = np.full(ps.size, np.inf)
-            if who.size:
-                starts = np.flatnonzero(np.diff(who, prepend=-1))
-                active = who[starts]
-                sizes = np.diff(starts, append=who.size)
-                d = pairwise_distances(self.dataset, ps[who], cand)
-                low = np.minimum.reduceat(d, starts)
-                tied = np.where(d == np.repeat(low, sizes), cand, np.iinfo(np.int64).max)
-                child[active] = np.minimum.reduceat(tied, starts)
-                near[active] = low
-                levels = self._level[child[active]].tolist()
-                cover = np.array([self.base ** level for level in levels])
-                active = active[low <= cover]
-                node[active] = child[active]
-            else:
-                active = who
-            steps.append(list(zip(child.tolist(), near.tolist())))
-        return steps
-
-
-def _nearest_shortlist(
-    x: np.ndarray, ps: np.ndarray, kids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(position in ps, kid) pairs, row-major, that can hold each point's
-    nearest kid by l2_batch distance, ties included.
-
-    One matmul gives every pair's norm expansion |q|^2 - 2 q.x + |x|^2,
-    within err of the exact squared distance t (the bound of
-    knng._exact_topk, by the same argument). Let lo be a row's smallest
-    expansion, so its nearest kid has t <= lo + err. A kid left out has an
-    expansion above cut, so t > cut - err, and since l2_batch's squared
-    distances lie within t * (1 -/+ slack), its distance then exceeds the
-    nearest one's strictly: cut - err >= (lo + err) * (1 + slack) / (1 -
-    slack) is what cut guarantees, with one more err for its own rounding.
-    """
-    if not kids.size:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    q = x[ps]
-    xk = x[kids]
-    slack = 2.0 * (x.shape[1] + 8) * np.finfo(np.float64).eps
-    k_sq = np.einsum("ij,ij->i", xk, xk)
-    q_sq = np.einsum("ij,ij->i", q, q)
-    g = q @ (-2.0 * xk).T
-    g += k_sq
-    g += q_sq[:, None]
-    err = slack * (np.sqrt(q_sq) + np.sqrt(k_sq.max())) ** 2
-    lo = g.min(axis=1)
-    cut = 2.0 * err + (lo + err) * (1.0 + 4.0 * slack)
-    flat = np.flatnonzero(g <= cut[:, None])
-    return flat // kids.size, kids[flat % kids.size]
+            child[active] = np.minimum.reduceat(tied, starts)
+            near[active] = best[starts]
 
 
 def build_cover_tree(dataset: Dataset, base: float = 2.0, seed: int = 0) -> CoverTree:

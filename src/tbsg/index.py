@@ -329,8 +329,12 @@ def reachable_fraction(index: TbsgIndex) -> float:
 
 def save_index(index: TbsgIndex, path) -> None:
     """Write the index: magic, format version, n, m, enter point, then each
-    node's degree-prefixed id list, all little-endian u32."""
+    node's degree-prefixed id list, all little-endian u32. A node holding
+    more than m ids raises ValueError, since load_index would refuse it."""
     degrees = np.diff(index.offsets)
+    if degrees.max(initial=0) > index.m:
+        u = int(np.argmax(degrees > index.m))
+        raise ValueError(f"node {u} holds {int(degrees[u])} ids, more than m={index.m}")
     payload = np.insert(index.neighbors.astype("<u4"), index.offsets[:-1], degrees)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -370,8 +374,12 @@ def load_index(path) -> TbsgIndex:
             raise FormatError(f"{path}: truncated neighbor list at node {u}")
     if pos != size:
         raise FormatError(f"{path}: {4 * (size - pos)} trailing bytes")
+    degrees = words[heads]
+    if degrees.max() > m:
+        u = int(np.argmax(degrees > m))
+        raise FormatError(f"{path}: node {u} holds {int(degrees[u])} ids, more than m={m}")
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(words[heads], out=offsets[1:])
+    np.cumsum(degrees, out=offsets[1:])
     neighbors = np.delete(words, heads).astype(np.int64)
     try:
         return TbsgIndex(n, m, ep, offsets=offsets, neighbors=neighbors)

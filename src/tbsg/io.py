@@ -76,15 +76,18 @@ def write_fvecs(path: str | os.PathLike, dataset: Dataset) -> None:
     _write_records(path, dataset.vectors.astype("<f4", copy=False))
 
 
-def write_ivecs(path: str | os.PathLike, lists: list[list[int]]) -> None:
-    """Write rectangular integer lists in ivecs framing."""
-    if not lists:
-        _write_records(path, np.empty((0, 0), dtype="<i4"))
-        return
+def write_ivecs(path: str | os.PathLike, lists) -> None:
+    """Write a rectangular integer array-like (equal-length lists, or a 2-D
+    array) in ivecs framing; empty input writes an empty file."""
     lengths = {len(row) for row in lists}
-    if len(lengths) != 1:
+    if len(lengths) > 1:
         raise ValueError(f"ivecs records must share one length, got {sorted(lengths)}")
-    _write_records(path, np.asarray(lists, dtype="<i4"))
+    payload = np.asarray(lists).reshape(len(lists), max(lengths, default=0))
+    info = np.iinfo(np.int32)
+    bad = (payload < info.min) | (payload > info.max)
+    if bad.any():
+        raise ValueError(f"ivecs value {payload[bad][0]} does not fit int32")
+    _write_records(path, payload.astype("<i4"))
 
 
 def _write_records(path: str | os.PathLike, payload: np.ndarray) -> None:

@@ -5,9 +5,12 @@ blocked-matmul shortlist per node, and a seeded NN-descent loop
 (neighbor-of-my-neighbor refinement). build_tbsg uses the exact graph: it
 costs n^2 distances but little per pair, and it was faster and smaller than
 NN-descent at every size measured, up to 100k points. The exact builder is
-also the quality oracle for NN-descent. add_reverse_edges() closes the graph
-under edge reversal, together with any one-way edges, producing the
-variable-degree candidate pools the index builder prunes.
+also the quality oracle for NN-descent. Its ranking, _exact_topk, is the
+package's one matmul-shortlist top-k: it also finds each cover-tree insert's
+nearest root child and bench.brute_force_groundtruth's neighbours.
+add_reverse_edges() closes the graph under edge reversal, together with any
+one-way edges, producing the variable-degree candidate pools the index
+builder prunes.
 
 Everything here is deterministic for a fixed seed: random draws come from one
 PCG64 stream, and every merge breaks ties by ascending id.
@@ -184,11 +187,12 @@ def _shortlist(
 
 
 def _exact_topk(
-    dataset: Dataset, queries64: np.ndarray, k: int, exclude_self: bool
+    x: np.ndarray, queries64: np.ndarray, k: int, exclude_self: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ids, distances) per query over every point; ties by ascending id.
+    """Top-k (row ids, distances) per query over the float64 rows x; ties by
+    ascending row id.
 
-    With exclude_self, query row i is assumed to be dataset point i and is
+    With exclude_self, query row i is assumed to be row i of x and is
     removed from its own result. The result is that of ranking a full row of
     l2_batch distances by (distance, id), bit for bit, but mostly only a
     shortlist is ranked: per block of queries one matmul of [q, 1] against
@@ -199,8 +203,7 @@ def _exact_topk(
     bound below (ties at the boundary included) is ranked over its full row
     instead.
     """
-    n, dim = dataset.count, dataset.dim
-    x = dataset.vectors64
+    n, dim = x.shape
     nq = queries64.shape[0]
     ids = np.empty((nq, k), dtype=np.int64)
     dists = np.empty((nq, k), dtype=np.float64)
@@ -268,7 +271,7 @@ def build_exact_knng(dataset: Dataset, K: int) -> KnnGraph:
         return KnnGraph(
             np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64), K
         )
-    ids, dists = _exact_topk(dataset, dataset.vectors64, k_eff, exclude_self=True)
+    ids, dists = _exact_topk(dataset.vectors64, dataset.vectors64, k_eff, exclude_self=True)
     return KnnGraph(ids, dists, K)
 
 

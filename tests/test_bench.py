@@ -87,7 +87,7 @@ class TestRecall:
 class TestRunBenchmark:
     def _tiny(self):
         ds = generate_synthetic(40, 4, clusters=1, spread=1.0, seed=4)
-        index = build_tbsg(ds, TbsgParams(K=8, m=10, iterations=4, seed=0))
+        index = build_tbsg(ds, TbsgParams(K=8, m=10, seed=0))
         queries = generate_synthetic(15, 4, clusters=1, spread=1.0, seed=5)
         gt = brute_force_groundtruth(ds, queries, 5)
         return index, ds, queries, gt
@@ -158,7 +158,7 @@ class TestScalingExperiment:
         ds = generate_synthetic(1000, 4, seed=6)
         result = scaling_experiment(
             ds, [1000],
-            build_params=TbsgParams(K=5, m=6, iterations=3, seed=0),
+            build_params=TbsgParams(K=5, m=6, seed=0),
             search_params=SearchParams(l=20, k=5),
             query_count=20,
         )
@@ -171,7 +171,7 @@ class TestScalingExperiment:
         ds = generate_synthetic(800, 4, seed=7)
         result = scaling_experiment(
             ds, [200, 400, 800],
-            build_params=TbsgParams(K=5, m=6, iterations=3, seed=0),
+            build_params=TbsgParams(K=5, m=6, seed=0),
             search_params=SearchParams(l=20, k=5),
             query_count=20,
         )

@@ -74,17 +74,17 @@ class TestBuild:
 
     def test_deterministic_per_seed(self):
         ds = generate_synthetic(300, 8, clusters=2, spread=0.8, seed=1)
-        params = TbsgParams(K=10, m=10, iterations=5, seed=3)
+        params = TbsgParams(K=10, m=10, seed=3)
         assert build_tbsg(ds, params) == build_tbsg(ds, params)
 
     def test_enter_point_is_tree_root(self):
         ds = generate_synthetic(100, 4, seed=2)
-        index = build_tbsg(ds, TbsgParams(K=8, m=8, iterations=4, seed=0))
+        index = build_tbsg(ds, TbsgParams(K=8, m=8, seed=0))
         assert index.enter_point == build_cover_tree(ds, seed=0).root == 0
 
     def test_adjacency_structure(self):
         ds = generate_synthetic(150, 6, clusters=2, spread=0.8, seed=4)
-        params = TbsgParams(K=8, m=6, iterations=5, seed=1)
+        params = TbsgParams(K=8, m=6, seed=1)
         index = build_tbsg(ds, params)
         assert index.max_out_degree() <= params.m
         x = ds.vectors64
@@ -107,7 +107,7 @@ class TestBuild:
         # tree children that are also KNNG neighbors.
         rows = generate_synthetic(90, 6, clusters=3, spread=0.5, seed=9).vectors
         ds = Dataset(np.concatenate([rows, rows, rows[:30]]))
-        params = TbsgParams(K=8, m=6, iterations=4, seed=2, r_mode=r_mode)
+        params = TbsgParams(K=8, m=6, seed=2, r_mode=r_mode)
         import tbsg.index as index_module
 
         calls = []
@@ -160,12 +160,12 @@ class TestBuild:
     def test_degree_cap_tight_m(self):
         ds = generate_synthetic(200, 8, seed=5)
         for m in (1, 3, 30):
-            index = build_tbsg(ds, TbsgParams(K=10, m=m, iterations=4, seed=2))
+            index = build_tbsg(ds, TbsgParams(K=10, m=m, seed=2))
             assert index.max_out_degree() <= m
 
     def test_static_radius_mode(self):
         ds = generate_synthetic(200, 8, clusters=2, spread=0.7, seed=6)
-        index = build_tbsg(ds, TbsgParams(K=10, m=10, iterations=5, r_mode="static", seed=1))
+        index = build_tbsg(ds, TbsgParams(K=10, m=10, r_mode="static", seed=1))
         assert index.max_out_degree() <= 10
         assert reachable_fraction(index) > 0.9
 
@@ -192,7 +192,7 @@ class TestSearch:
 
     def test_exhaustive_pool_returns_brute_force_order(self):
         ds = generate_synthetic(50, 8, clusters=1, spread=1.0, seed=100)
-        index = build_tbsg(ds, TbsgParams(K=10, m=16, iterations=5, seed=0))
+        index = build_tbsg(ds, TbsgParams(K=10, m=16, seed=0))
         assert reachable_fraction(index) == 1.0
         q = generate_synthetic(1, 8, 1, 1.0, seed=999).vectors64[0]
         got = search_knn(index, ds, q, SearchParams(l=50, k=50))
@@ -213,7 +213,7 @@ class TestSearch:
     def test_mean_recall_non_decreasing_in_pool_size(self):
         full = generate_synthetic(1100, 8, clusters=1, spread=1.0, seed=13)
         base, queries = Dataset(full.vectors[:1000]), Dataset(full.vectors[1000:])
-        index = build_tbsg(base, TbsgParams(K=20, m=20, iterations=10, seed=2))
+        index = build_tbsg(base, TbsgParams(K=20, m=20, seed=2))
         gt = brute_force_groundtruth(base, queries, 10)
         recalls = []
         for l in (10, 20, 50, 100):
@@ -229,7 +229,7 @@ class TestSearch:
         # Greedy-only descent (no pool) from random starts should land on the
         # query's true nearest neighbor for the vast majority of pairs.
         ds = generate_synthetic(500, 2, clusters=1, spread=1.0, seed=21)
-        index = build_tbsg(ds, TbsgParams(K=20, m=20, mp=0.53, iterations=12, seed=4))
+        index = build_tbsg(ds, TbsgParams(K=20, m=20, mp=0.53, seed=4))
         assert reachable_fraction(index) == 1.0
         x = ds.vectors64
         rng = np.random.default_rng(17)
@@ -253,7 +253,7 @@ class TestSearch:
 
     def test_distance_evals_counted(self):
         ds = generate_synthetic(100, 4, seed=3)
-        index = build_tbsg(ds, TbsgParams(K=8, m=8, iterations=4, seed=1))
+        index = build_tbsg(ds, TbsgParams(K=8, m=8, seed=1))
         ids, evals = search_knn_with_stats(index, ds, ds.vector(5), SearchParams(l=10, k=5))
         assert len(ids) == 5
         assert evals >= len(ids)  # every pooled id cost one evaluation
@@ -263,13 +263,13 @@ class TestSearch:
 
     def test_query_dimension_checked(self):
         ds = generate_synthetic(20, 4, seed=0)
-        index = build_tbsg(ds, TbsgParams(K=5, m=5, iterations=2))
+        index = build_tbsg(ds, TbsgParams(K=5, m=5))
         with pytest.raises(ValueError, match="does not match"):
             search_knn(index, ds, np.zeros(3), SearchParams(l=5, k=1))
 
     def test_non_finite_query_rejected(self):
         ds = generate_synthetic(20, 4, seed=0)
-        index = build_tbsg(ds, TbsgParams(K=5, m=5, iterations=2))
+        index = build_tbsg(ds, TbsgParams(K=5, m=5))
         for bad in (np.nan, np.inf, -np.inf):
             q = np.zeros(4)
             q[2] = bad
@@ -278,7 +278,7 @@ class TestSearch:
 
     def test_dataset_of_another_size_rejected(self):
         ds = generate_synthetic(20, 4, seed=0)
-        index = build_tbsg(ds, TbsgParams(K=5, m=5, iterations=2))
+        index = build_tbsg(ds, TbsgParams(K=5, m=5))
         for count in (19, 21):
             other = generate_synthetic(count, 4, seed=1)
             with pytest.raises(ValueError, match="index has 20"):
@@ -318,7 +318,7 @@ class TestSearchMatchesLiteral:
             ]
             index = TbsgIndex(n=n, m=m, enter_point=int(rng.integers(n)), adjacency=adjacency)
         else:
-            index = build_tbsg(ds, TbsgParams(K=min(8, n - 1), m=m, iterations=3, seed=seed))
+            index = build_tbsg(ds, TbsgParams(K=min(8, n - 1), m=m, seed=seed))
         x = ds.vectors64
         queries = (x[int(rng.integers(n))], rng.integers(0, 3, ds.dim) + 0.5)
         for q in queries:
@@ -359,7 +359,7 @@ class TestLayerHooks:
 
             monkeypatch.setattr(index_module, name, counted)
         ds = generate_synthetic(60, 4, clusters=2, spread=1.0, seed=2)
-        index = build_tbsg(ds, TbsgParams(K=6, m=4, iterations=3))
+        index = build_tbsg(ds, TbsgParams(K=6, m=4))
         assert {"build_cover_tree", "build_knng", "add_reverse_edges", "_select_from_arrays"} <= set(calls)
         before = calls.get("distances_to_many", 0)
         search_knn(index, ds, ds.vector(7), SearchParams(l=10, k=3))
@@ -382,7 +382,7 @@ class TestLayerHooks:
             ds, index = _self_edge_graph()
         else:
             ds = generate_synthetic(80, 4, clusters=3, spread=0.5, seed=5)
-            index = build_tbsg(ds, TbsgParams(K=8, m=6, iterations=3, seed=1))
+            index = build_tbsg(ds, TbsgParams(K=8, m=6, seed=1))
             if graph == "random":
                 rng = np.random.default_rng(3)
                 index = TbsgIndex(
@@ -428,7 +428,7 @@ class TestReachableFraction:
     def test_built_graphs_match_plain_bfs(self, n, dim, clusters, spread, K, m):
         ds = generate_synthetic(n, dim, clusters=clusters, spread=spread, seed=n + K)
         for r_mode in ("dynamic", "static"):
-            index = build_tbsg(ds, TbsgParams(K=K, m=m, iterations=4, r_mode=r_mode, seed=1))
+            index = build_tbsg(ds, TbsgParams(K=K, m=m, r_mode=r_mode, seed=1))
             assert reachable_fraction(index) == _bfs_fraction(index)
 
     def test_hand_built_graphs(self):
@@ -479,7 +479,7 @@ class TestCsrLayout:
 
     def test_lists_build_and_load_give_one_csr(self, tmp_path):
         ds = generate_synthetic(200, 6, clusters=3, spread=0.5, seed=12)
-        built = build_tbsg(ds, TbsgParams(K=10, m=6, iterations=3, seed=5))
+        built = build_tbsg(ds, TbsgParams(K=10, m=6, seed=5))
         from_lists = TbsgIndex(
             n=built.n,
             m=built.m,
@@ -532,7 +532,7 @@ class TestCsrLayout:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(120, 6, clusters=2, spread=0.8, seed=8)
-        index = build_tbsg(ds, TbsgParams(K=8, m=8, iterations=4, seed=2))
+        index = build_tbsg(ds, TbsgParams(K=8, m=8, seed=2))
         path = tmp_path / "a.tbsg"
         save_index(index, path)
         loaded = load_index(path)
@@ -603,7 +603,7 @@ class TestPersistence:
     def test_bad_version(self, tmp_path):
         ds = generate_synthetic(10, 3, seed=0)
         path = tmp_path / "v"
-        save_index(build_tbsg(ds, TbsgParams(K=3, m=3, iterations=2)), path)
+        save_index(build_tbsg(ds, TbsgParams(K=3, m=3)), path)
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
@@ -613,7 +613,7 @@ class TestPersistence:
     def test_truncations(self, tmp_path):
         ds = generate_synthetic(10, 3, seed=0)
         path = tmp_path / "t"
-        save_index(build_tbsg(ds, TbsgParams(K=3, m=3, iterations=2)), path)
+        save_index(build_tbsg(ds, TbsgParams(K=3, m=3)), path)
         raw = path.read_bytes()
         for cut in (10, len(raw) - 3, len(raw) - 4):
             path.write_bytes(raw[:cut])
@@ -623,7 +623,7 @@ class TestPersistence:
     def test_trailing_bytes(self, tmp_path):
         ds = generate_synthetic(10, 3, seed=0)
         path = tmp_path / "x"
-        save_index(build_tbsg(ds, TbsgParams(K=3, m=3, iterations=2)), path)
+        save_index(build_tbsg(ds, TbsgParams(K=3, m=3)), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(FormatError, match="trailing"):
             load_index(path)
@@ -631,7 +631,7 @@ class TestPersistence:
     def test_neighbor_id_out_of_range(self, tmp_path):
         ds = generate_synthetic(10, 3, seed=0)
         path = tmp_path / "r"
-        index = build_tbsg(ds, TbsgParams(K=3, m=3, iterations=2))
+        index = build_tbsg(ds, TbsgParams(K=3, m=3))
         save_index(index, path)
         raw = bytearray(path.read_bytes())
         # First node's first neighbor id lives right after its degree word.
@@ -653,6 +653,22 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"out of range at node {node}$"):
             load_index(path)
 
+    def test_list_longer_than_m_names_its_node(self, tmp_path):
+        # The out-degree cap m is the index's invariant: a file whose node
+        # holds more ids than its header's m is malformed, and save_index
+        # refuses to write one.
+        index = TbsgIndex(n=5, m=2, enter_point=0, adjacency=[[1, 3], [], [0], [], [0, 1, 2]])
+        path = tmp_path / "m.tbsg"
+        with pytest.raises(ValueError, match="node 4 holds 3 ids, more than m=2$"):
+            save_index(index, path)
+        assert not path.exists()
+        save_index(TbsgIndex(n=5, m=3, enter_point=0, offsets=index.offsets, neighbors=index.neighbors), path)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="node 4 holds 3 ids, more than m=2$"):
+            load_index(path)
+
     def test_node_count_past_the_file_is_truncation(self, tmp_path):
         # n comes from the header; the walk must stop at the data, not
         # allocate per node first.
@@ -664,7 +680,7 @@ class TestPersistence:
     def test_enter_point_out_of_range(self, tmp_path):
         ds = generate_synthetic(10, 3, seed=0)
         path = tmp_path / "ep"
-        save_index(build_tbsg(ds, TbsgParams(K=3, m=3, iterations=2)), path)
+        save_index(build_tbsg(ds, TbsgParams(K=3, m=3)), path)
         raw = bytearray(path.read_bytes())
         raw[16:20] = struct.pack("<I", 10)
         path.write_bytes(bytes(raw))

@@ -82,6 +82,28 @@ class TestIvecsRoundTrip:
         write_ivecs(path, [])
         assert read_ivecs(path) == []
 
+    def test_integer_arrays(self, tmp_path):
+        path = tmp_path / "n.ivecs"
+        for rows in (np.arange(6).reshape(2, 3), np.arange(6, dtype=np.uint32).reshape(3, 2)):
+            write_ivecs(path, rows)
+            assert read_ivecs(path) == rows.tolist()
+        write_ivecs(path, np.empty((0, 4), dtype=np.int64))
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 2**31]],
+            [[-(2**31) - 1]],
+            [[2**70]],
+            np.array([[1, 2**31]]),
+            np.array([[2**63]], np.uint64),
+        ],
+    )
+    def test_values_outside_int32_rejected(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="does not fit int32"):
+            write_ivecs(tmp_path / "w.ivecs", rows)
+
     def test_ragged_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="share one length"):
             write_ivecs(tmp_path / "r.ivecs", [[1, 2], [3]])

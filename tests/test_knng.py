@@ -123,9 +123,9 @@ class TestExactTopk:
         # n - 17 makes the shortlist every point but the query itself.
         for k in (1, 7, 30, n - 17, n - 1):
             for got, want in (
-                (_exact_topk(ds, x, k, True), literal_topk(x, x, k, True)),
-                (_exact_topk(ds, q64, k, False), literal_topk(x, q64, k, False)),
-                (_exact_topk(ds, q64, n, False), literal_topk(x, q64, n, False)),
+                (_exact_topk(x, x, k, True), literal_topk(x, x, k, True)),
+                (_exact_topk(x, q64, k, False), literal_topk(x, q64, k, False)),
+                (_exact_topk(x, q64, n, False), literal_topk(x, q64, n, False)),
             ):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
@@ -148,7 +148,7 @@ class TestExactTopk:
             ds = Dataset(_topk_inputs(kind, 600, 16, seed=3)[0])
             x = ds.vectors64
             scanned.clear()
-            got = _exact_topk(ds, x, 9, True)
+            got = _exact_topk(x, x, 9, True)
             want = literal_topk(x, x, 9, True)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -192,7 +192,7 @@ class TestThresholdShortlist:
         x = ds.vectors64
         want = literal_topk(x, x, 20, True)
         for k in (1, 20):
-            got = _exact_topk(ds, x, k, True)
+            got = _exact_topk(x, x, k, True)
             assert np.array_equal(got[0], want[0][:, :k])
             assert np.array_equal(got[1], want[1][:, :k])
         assert sampled and all(sampled)
@@ -202,7 +202,7 @@ class TestThresholdShortlist:
         # the rows of each block there.
         for survivors in (0, 1):
             monkeypatch.setattr(knng_module, "_SURVIVORS", survivors)
-            got = _exact_topk(ds, x, 20, True)
+            got = _exact_topk(x, x, 20, True)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
