@@ -63,18 +63,8 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
 
 def _build_params(args: argparse.Namespace) -> TbsgParams:
     merged = dict(PROFILES[args.profile])
-    for name in ("K", "m", "mp"):
-        value = getattr(args, name)
-        if value is not None:
-            merged[name] = value
-    return TbsgParams(
-        K=merged["K"],
-        m=merged["m"],
-        mp=merged["mp"],
-        base=args.base,
-        r_mode=args.r_mode,
-        seed=args.seed,
-    )
+    merged.update({k: getattr(args, k) for k in merged if getattr(args, k) is not None})
+    return TbsgParams(**merged, base=args.base, r_mode=args.r_mode, seed=args.seed)
 
 
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
@@ -197,20 +187,18 @@ def _cmd_scale(args) -> int:
 
 def _cmd_prob_check(args) -> int:
     result = prob_check(dims=args.dims, samples=args.samples, seed=args.seed)
-    _print_table(
-        ["d_se", "d_sv", "d_ve", "r", "dim", "min_prob", "estimate", "std_error", "bound_ok"],
-        [[
-            f"{row.geom.d_se:.4f}",
-            f"{row.geom.d_sv:.4f}",
-            f"{row.geom.d_ve:.4f}",
-            f"{row.geom.r:.4f}",
-            row.dim,
-            f"{row.min_prob:.4f}",
-            f"{row.estimate:.4f}",
-            f"{row.std_error:.5f}",
-            row.bound_ok,
-        ] for row in result.rows],
-    )
+    headers = ["d_se", "d_sv", "d_ve", "r", "dim", "min_prob", "estimate", "std_error", "bound_ok"]
+    _print_table(headers, [[
+        f"{row.geom.d_se:.4f}",
+        f"{row.geom.d_sv:.4f}",
+        f"{row.geom.d_ve:.4f}",
+        f"{row.geom.r:.4f}",
+        row.dim,
+        f"{row.min_prob:.4f}",
+        f"{row.estimate:.4f}",
+        f"{row.std_error:.5f}",
+        row.bound_ok,
+    ] for row in result.rows])
     for geom, reason in result.skipped:
         print(f"skipped {geom}: {reason}", file=sys.stderr)
     ok = all(row.bound_ok for row in result.rows)
@@ -218,9 +206,7 @@ def _cmd_prob_check(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["d_se", "d_sv", "d_ve", "r", "dim", "min_prob", "estimate", "std_error", "bound_ok"]
-            )
+            writer.writerow(headers)
             for row in result.rows:
                 writer.writerow([
                     repr(row.geom.d_se), repr(row.geom.d_sv), repr(row.geom.d_ve),

@@ -70,19 +70,14 @@ class Dataset:
         return f"Dataset(count={self.count}, dim={self.dim})"
 
 
-def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+def squared_l2_distance(a, b) -> float:
+    """Squared Euclidean distance; the monotone surrogate used internally."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("distance arguments must be 1-D vectors")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
-def squared_l2_distance(a, b) -> float:
-    """Squared Euclidean distance; the monotone surrogate used internally."""
-    a, b = _as_pair(a, b)
     d = a - b
     # einsum, not np.dot: keeps the reduction order identical to l2_batch
     # so scalar and vectorized paths agree bitwise.
@@ -97,7 +92,11 @@ def l2_distance(a, b) -> float:
 def l2_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L2 distances between float64 arrays a and b over the last axis,
     broadcasting the leading ones: the one batch reduction every module uses."""
-    diff = a - b
+    return _norms(a - b)
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """L2 norms of diff over its last axis: l2_batch's reduction."""
     return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
@@ -119,14 +118,17 @@ def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
 
 def pairwise_distances(dataset: Dataset, left_ids, right_ids) -> np.ndarray:
     """Elementwise L2 distances between paired point ids (equal-length
-    arrays), chunked so the gathered rows stay small."""
+    arrays), bit for bit those of l2_batch over the gathered rows.
+
+    Each chunk's rows are gathered by take, and the right rows are subtracted
+    in place from the left: two gathered operands and no third array for
+    their difference."""
     x = dataset.vectors64
-    left = np.asarray(left_ids)
-    right = np.asarray(right_ids)
-    out = np.empty(left.shape[0], dtype=np.float64)
-    # About 4M gathered values (32 MB) per operand at any dim; l2_batch holds
-    # both operands and their difference at once.
+    out = np.empty(len(left_ids), dtype=np.float64)
+    # About 4M gathered values (32 MB) per operand at any dim.
     chunk = max(1, (1 << 22) // max(dataset.dim, 1))
-    for i in range(0, left.shape[0], chunk):
-        out[i : i + chunk] = l2_batch(x[left[i : i + chunk]], x[right[i : i + chunk]])
+    for i in range(0, out.size, chunk):
+        diff = x.take(left_ids[i : i + chunk], axis=0)
+        diff -= x.take(right_ids[i : i + chunk], axis=0)
+        out[i : i + chunk] = _norms(diff)
     return out

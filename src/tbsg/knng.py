@@ -121,6 +121,14 @@ def _rank_in_run(srt: np.ndarray) -> np.ndarray:
     return pos - np.maximum.accumulate(np.where(_run_starts(srt), pos, 0))
 
 
+def _dense_rank(a: np.ndarray) -> np.ndarray:
+    """Rank of each entry of a 1-D array among its distinct values."""
+    order = np.argsort(a)
+    rank = np.empty(a.shape[0], dtype=np.int64)
+    rank[order] = np.cumsum(_run_starts(a[order])) - 1
+    return rank
+
+
 def _ranked_topk(
     q: np.ndarray, xc: np.ndarray, cand: np.ndarray, self_ids, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +303,12 @@ def add_reverse_edges(kg: KnnGraph, one_way=None) -> BKnnGraph:
     edges (src, dst, dist arrays, not reversed): per node, every distinct
     neighbor once, in (distance, id) order, with no self entry.
 
-    One sort by (node, distance, id) does it. Every copy of a pair carries the
-    same distance bits (l2_batch is symmetric, as _merge_shard also relies
-    on), so the copies of a (node, id) sort next to each other and all but the
-    first are dropped.
+    One argsort of an int64 key orders the entries by (node, distance, id):
+    node * entries + the rank of (distance rank * n + id), which stays below
+    n * entries. Every copy of a pair carries the same distance bits
+    (l2_batch is symmetric, as _merge_shard also relies on), so the copies
+    of a (node, id) sort next to each other and all but the first are
+    dropped.
     """
     n, k = kg.ids.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
@@ -306,7 +316,8 @@ def add_reverse_edges(kg: KnnGraph, one_way=None) -> BKnnGraph:
     d = kg.dists.ravel().astype(np.float64)
     parts = [(src, dst, d), (dst, src, d)] + ([one_way] if one_way is not None else [])
     all_src, all_dst, all_d = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((all_dst, all_d, all_src))
+    r_p = _dense_rank(_dense_rank(all_d) * np.int64(n) + all_dst)
+    order = np.argsort(all_src * np.int64(all_d.size) + r_p)
     src_s, dst_s, d_s = all_src[order], all_dst[order], all_d[order]
     keep = _run_starts(src_s * np.int64(n) + dst_s) & (src_s != dst_s)
     offsets = np.searchsorted(src_s[keep], np.arange(n + 1, dtype=np.int64))
@@ -517,6 +528,10 @@ def build_knng(
     nothing. Each round's join pools hold up to min(K, _MAX_CANDIDATES)
     entries per node. iterations and seed act only on NN-descent;
     build_tbsg passes exact=True.
+
+    NN-descent's memory is unbounded, as a round holds every proposed pair:
+    at K=20 on 16-d data its peak RSS was about 21 KB per point (2.1 GB at
+    100k points), against 116 MB for the exact graph.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

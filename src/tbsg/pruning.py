@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, l2_batch
+from .core import Dataset, pairwise_distances
 from .knng import _run_starts
 
 __all__ = [
@@ -38,13 +38,14 @@ __all__ = [
 _COS_SLACK = 1e-9
 
 # Gathered float64 values (candidates x dim) per chunk of nodes pruned in
-# lock-step. The chunk's candidate rows, each round's pair gathers and their
-# difference each stay under this size (2 MB), so they stay in cache.
-# _select_from_arrays on the perfbench base sets and a 16k x 16 Gaussian
-# (K=m=20), median of five, 2-core Xeon, Python 3.11.7, NumPy 2.4.6, for
-# 2^14 / 2^16 / 2^18 / 2^20 / 2^22 values: desk 434 / 222 / 148 / 169 /
-# 165 ms, search32 145 / 92 / 84 / 165 / 166 ms, sift128 674 / 372 / 340 /
-# 377 / 415 ms, 16k 1525 / 919 / 867 / 1075 / 1097 ms.
+# lock-step, which bounds each round's pair gathers. _select_from_arrays on
+# the perfbench base sets and the 16k x 16 criterion-09 set (K=m=20), two
+# passes of median of five, 2-core Xeon, Python 3.11.7, NumPy 2.4.6, for
+# 2^14 / 2^16 / 2^18 / 2^20 / 2^22 values: desk 397-402 / 167-172 / 100-104
+# / 98-113 / 106-122 ms, search32 152-157 / 71-74 / 57 / 59-62 / 59-61 ms,
+# sift128 647-649 / 337-346 / 193-208 / 130-176 / 191-201 ms, 16k
+# 1072-1403 / 461-823 / 468-663 / 587-789 / 653-899 ms. 2^20 wins on
+# sift128 alone.
 _CHUNK_VALUES = 1 << 18
 
 
@@ -78,7 +79,7 @@ def _bisector_offset(d_se: float, d_sv: float, d_ve: float) -> float:
     """Signed distance from e to the perpendicular bisector of segment s-v.
 
     Positive when e lies on v's side (d_ve < d_se). Takes floats or arrays
-    alike: min_prob and _min_prob_pairs share it.
+    alike: min_prob, analytic_disk_prob and the pruning scan share it.
     """
     return (d_se * d_se - d_ve * d_ve) / (2.0 * d_sv)
 
@@ -92,8 +93,13 @@ def min_prob(g: TriangleGeom) -> float:
     ball, where h is the signed offset of e from that hyperplane. h/r is
     clamped to [-1, 1]: beyond +1 the whole ball lies on v's side.
     """
-    h = _bisector_offset(g.d_se, g.d_sv, g.d_ve)
-    return float(1.0 - np.arccos(np.clip(h / g.r, -1.0, 1.0)) / math.pi)
+    return float(_min_prob_pairs(g.d_se, g.d_sv, g.d_ve, g.r))
+
+
+def _min_prob_pairs(d_se, d_sv, d_ve, r):
+    """min_prob over arrays of side lengths and radii, elementwise."""
+    h = _bisector_offset(d_se, d_sv, d_ve)
+    return 1.0 - np.arccos(np.clip(h / r, -1.0, 1.0)) / math.pi
 
 
 def analytic_disk_prob(g: TriangleGeom) -> float:
@@ -192,18 +198,6 @@ class StrategyParams:
             raise ValueError("static r_mode requires static_r values")
 
 
-def _min_prob_pairs(
-    d: np.ndarray, d_sv: np.ndarray, d_se: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """min_prob of excluding candidate e via kept neighbor v, per pair.
-
-    Elementwise mirror of min_prob(): d holds the distances d_ve from each
-    pair's v to its e, d_sv and d_se their distances from s, r e's radius.
-    """
-    h = _bisector_offset(d_se, d_sv, d)
-    return 1.0 - np.arccos(np.clip(h / r, -1.0, 1.0)) / math.pi
-
-
 def _select_from_arrays(
     offsets: np.ndarray,
     cand_ids: np.ndarray,
@@ -248,17 +242,16 @@ def _prune_chunk(
     """Kept positions, relative to offsets[lo], of nodes lo..hi-1 pruned in
     lock-step.
 
-    Each round keeps every node's first alive candidate, and one l2_batch
-    over the chunk's once-gathered rows pairs that keeper with the node's
-    other alive candidates: those the strategy's rule blocks are struck out.
-    A node stops at m kept or when nothing is alive, so it takes at most m
-    rounds, and each pair distance is computed once, as the per-node scan
-    would.
+    Each round keeps every node's first alive candidate, and one
+    pairwise_distances call, gathering each pair's rows by id, measures that
+    keeper against the node's other alive candidates: those the strategy's
+    rule blocks are struck out. A node stops at m kept or when nothing is
+    alive, so it takes at most m rounds, and each pair distance is computed
+    once, as the per-node scan would.
     """
     start, stop = offsets[lo], offsets[hi]
-    d = cand_d[start:stop]
+    ids, d = cand_ids[start:stop], cand_d[start:stop]
     owner = np.repeat(np.arange(hi - lo), np.diff(offsets[lo : hi + 1]))
-    vectors = dataset.vectors64[cand_ids[start:stop]]
     if params.strategy == "tbsg":
         radius = d
         if params.r_mode == "static":
@@ -282,16 +275,17 @@ def _prune_chunk(
         v = keepers[np.cumsum(first)[~first] - 1]
         has_room = room[owner[rest]] > 0
         rest, v = rest[has_room], v[has_room]
-        d_ve = l2_batch(vectors[v], vectors[rest])
+        d_ve = pairwise_distances(dataset, ids[v], ids[rest])
         d_sv, d_se = d[v], d[rest]
-        if params.strategy == "tbsg":
-            prob = _min_prob_pairs(d_ve, d_sv, d_se, radius[rest])
-            blocked = (d_ve < d_se) & (prob >= params.mp)
-        elif params.strategy == "rng":
-            blocked = d_ve < d_se
-        else:
+        if params.strategy == "nssg":
             num = d_sv * d_sv + d_se * d_se - d_ve * d_ve
             blocked = num / (2.0 * d_sv * d_se) >= cos_threshold
+        else:
+            blocked = d_ve < d_se
+        if params.strategy == "tbsg":
+            # The probability rule only narrows the RNG rule's blocks.
+            b = np.flatnonzero(blocked)
+            blocked[b] = _min_prob_pairs(d_se[b], d_sv[b], d_ve[b], radius[rest[b]]) >= params.mp
         alive = rest[~blocked]
     return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
 

@@ -478,6 +478,56 @@ class TestAddReverseEdges:
         )
         return src, dst, d
 
+    @staticmethod
+    def _check_literal(kg, extra):
+        """add_reverse_edges(kg, extra) equals literal_union, pool by pool."""
+        bg = add_reverse_edges(kg, extra)
+        want = literal_union(kg, zip(*extra) if extra is not None else ())
+        assert bg.n == kg.n and bg.offsets[0] == 0 and bg.offsets[-1] == bg.ids.size
+        for u in range(kg.n):
+            ids, d = (a.tolist() for a in _pool(bg, u))
+            assert list(zip(d, ids)) == want[u]
+            assert len(set(ids)) == len(ids) and u not in ids
+            assert list(zip(d, ids)) == sorted(zip(d, ids))
+        return bg
+
+    @pytest.mark.parametrize("n", [0, 1, 80])
+    def test_no_knng_edges(self, n):
+        # k_eff = 0 (the graph of at most one point, or one given with no
+        # columns): with no one-way edges, or empty ones, every pool is empty.
+        if n <= 1:
+            kg = build_exact_knng(Dataset(np.zeros((n, 3))), 5)
+        else:
+            kg = KnnGraph(np.empty((n, 0), dtype=np.int64), np.empty((n, 0)), 5)
+        assert kg.k_eff == 0
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        for extra in (None, empty):
+            bg = self._check_literal(kg, extra)
+            assert np.array_equal(bg.offsets, np.zeros(n + 1, dtype=np.int64))
+            assert bg.ids.size == 0 and bg.dists.size == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_way_edges_alone(self, seed):
+        # k_eff = 0 with one-way edges, self pairs and repeats among them:
+        # each pool holds exactly its node's one-way targets.
+        ds = self._tied_set(seed, "grid")
+        kg = KnnGraph(np.empty((ds.count, 0), dtype=np.int64), np.empty((ds.count, 0)), 5)
+        one_way = self._one_way(ds, seed + 20)
+        bg = self._check_literal(kg, one_way)
+        want = {(int(u), int(v)) for u, v in zip(one_way[0], one_way[1]) if u != v}
+        assert self._edge_set(bg) == want
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_all_pairs_on_tied_grid(self, seed):
+        # K = n - 1: every pool is every other node, with many tied distances
+        # and zero-distance duplicates.
+        ds = self._tied_set(seed, "grid")
+        kg = build_exact_knng(ds, ds.count - 1)
+        assert kg.k_eff == ds.count - 1
+        for extra in (None, self._one_way(ds, seed + 30)):
+            bg = self._check_literal(kg, extra)
+            assert np.array_equal(np.diff(bg.offsets), np.full(ds.count, ds.count - 1))
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("kind", ["grid", "copies"])
     @pytest.mark.parametrize("exact", [True, False])
@@ -487,13 +537,7 @@ class TestAddReverseEdges:
         one_way = self._one_way(ds, seed + 10)
         kg_pairs = {(u, int(v)) for u in range(ds.count) for v in kg.ids[u]}
         for extra in (None, one_way):
-            bg = add_reverse_edges(kg, extra)
-            want = literal_union(kg, zip(*extra) if extra is not None else ())
-            for u in range(ds.count):
-                ids, d = (a.tolist() for a in _pool(bg, u))
-                assert list(zip(d, ids)) == want[u]
-                assert len(set(ids)) == len(ids) and u not in ids
-                assert list(zip(d, ids)) == sorted(zip(d, ids))
+            self._check_literal(kg, extra)
         # A one-way edge (u, v) is not reversed: u joins v's pool only
         # through the KNNG or a one-way edge (v, u).
         bg = add_reverse_edges(kg, one_way)
