@@ -218,13 +218,12 @@ def scaling_experiment(
     sizes,
     build_params: TbsgParams | None = None,
     search_params: SearchParams | None = None,
-    queries: Dataset | None = None,
     query_count: int = 100,
 ) -> ScalingResult:
     """Build on dataset prefixes of the given sizes and search a fixed query set.
 
-    With no explicit queries, query_count rows are sampled (seeded) from the
-    smallest prefix so every built index sees the same queries.
+    The queries are query_count rows sampled (seeded) from the smallest
+    prefix, so every built index sees the same queries.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
@@ -237,10 +236,9 @@ def scaling_experiment(
         build_params = TbsgParams()
     if search_params is None:
         search_params = SearchParams(l=100, k=10)
-    if queries is None:
-        rng = np.random.Generator(np.random.PCG64(build_params.seed))
-        picks = rng.choice(sizes[0], size=min(query_count, sizes[0]), replace=False)
-        queries = Dataset(dataset.vectors[np.sort(picks)])
+    rng = np.random.Generator(np.random.PCG64(build_params.seed))
+    picks = rng.choice(sizes[0], size=min(query_count, sizes[0]), replace=False)
+    queries = Dataset(dataset.vectors[np.sort(picks)])
     rows = []
     for size in sizes:
         prefix = Dataset(dataset.vectors[:size])

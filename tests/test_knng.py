@@ -363,8 +363,8 @@ def _apply_updates_reference(ids, dists, flags, pa, pb, pd):
 
 
 class TestApplyUpdates:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_per_node_reference(self, seed):
+    @staticmethod
+    def _case(seed):
         # Integer distances from a symmetric matrix make (distance) ties
         # common; every fourth proposed pair is already in a list.
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -383,15 +383,39 @@ class TestApplyUpdates:
         listed = np.isin(iu * n + ju, lo * n + hi)
         pick = rng.random(iu.size) < 0.3
         pick[np.flatnonzero(listed)[::4]] = True
+        assert listed[pick].any()
         pa, pb = iu[pick], ju[pick]
-        pd = D[pa, pb]
+        return ids, dists, flags, pa, pb, D[pa, pb]
+
+    @staticmethod
+    def _check(ids, dists, flags, pa, pb, pd):
         want = _apply_updates_reference(ids, dists, flags, pa, pb, pd)
         changed = _apply_updates(ids, dists, flags, pa, pb, pd)
-        assert listed[pick].any()
         assert np.array_equal(ids, want[0])
         assert np.array_equal(dists, want[1])
         assert np.array_equal(flags, want[2])
         assert changed == want[3]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_node_reference(self, seed):
+        self._check(*self._case(seed))
+
+    @pytest.mark.parametrize("shard_entries", [1, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_several_shards_match_per_node_reference(self, monkeypatch, seed, shard_entries):
+        # 1 gives one node per shard; 8 gives shards of about two nodes.
+        merges = []
+        ranked_unique = knng_module._ranked_unique
+
+        def spy(node, *args):
+            merges.append(np.unique(node))
+            return ranked_unique(node, *args)
+
+        monkeypatch.setattr(knng_module, "_SHARD_ENTRIES", shard_entries)
+        monkeypatch.setattr(knng_module, "_ranked_unique", spy)
+        self._check(*self._case(seed))
+        assert len(merges) > 2
+        assert all(m.size < 12 for m in merges)
 
 
 class TestKnngRecall:
