@@ -9,6 +9,9 @@ parent. The outputs are:
   only), built with each workload's profile in both radius modes;
 - save_index bytes of the criterion-06 desk index (10k x 16, default
   parameters);
+- the kept positions of pruning's rng and nssg rules on the desk base set's
+  real pool (build_tbsg prunes with tbsg alone, so the index hashes do not
+  pin the other two rules);
 - NN-descent ids and distances on criterion 08's set, and on a 20k x 16 set
   whose rounds propose enough pairs to split the merge into several shards.
 
@@ -29,20 +32,39 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
+import tbsg.index  # noqa: E402
 from tbsg import (  # noqa: E402
     Dataset,
+    StrategyParams,
     TbsgParams,
     build_knng,
     build_tbsg,
     generate_synthetic,
     save_index,
 )
+from tbsg.pruning import _select_from_arrays  # noqa: E402
 
 
 def _index_sha(dataset: Dataset, params: TbsgParams, tmp: Path) -> str:
     path = tmp / "index.tbsg"
     save_index(build_tbsg(dataset, params), path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _pool(dataset: Dataset, params: TbsgParams) -> tuple:
+    """The (offsets, ids, dists) pool build_tbsg hands to the pruning stage."""
+    pools = []
+
+    def capture(offsets, cand_ids, cand_d, strategy, ds):
+        pools.append((offsets, cand_ids, cand_d))
+        return _select_from_arrays(offsets, cand_ids, cand_d, strategy, ds)
+
+    tbsg.index._select_from_arrays = capture
+    try:
+        build_tbsg(dataset, params)
+    finally:
+        tbsg.index._select_from_arrays = _select_from_arrays
+    return pools[0]
 
 
 def main() -> None:
@@ -57,6 +79,13 @@ def main() -> None:
         desk = generate_synthetic(10_100, 16, clusters=4, spread=1.0, seed=11)
         desk = Dataset(desk.vectors[:10_000])
         print(f"index criterion-06  {_index_sha(desk, TbsgParams(), tmp)}", flush=True)
+    base, _ = WORKLOADS["desk"].make(seed=0)
+    params = TbsgParams(**WORKLOADS["desk"].build_params())
+    pool = _pool(Dataset(base), params)
+    for strategy in ("rng", "nssg"):
+        kept = _select_from_arrays(*pool, StrategyParams(strategy, m=params.m), Dataset(base))
+        sha = hashlib.sha256(kept.tobytes()).hexdigest()
+        print(f"pruning desk {strategy}  {sha}", flush=True)
     runs = [
         ("criterion-08", generate_synthetic(2000, 16, clusters=4, spread=1.0, seed=8), 8),
         ("20k-x-16", generate_synthetic(20_000, 16, seed=7), 3),

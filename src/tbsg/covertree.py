@@ -44,12 +44,10 @@ class CoverTree:
         self._parent = np.full(n, -1, dtype=np.int64)
         # Node p's children in insertion order, one int64 id array per node.
         self._kids: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-        self._present = np.zeros(n, dtype=bool)
-        self._present[self.root] = True
 
     @property
     def count(self) -> int:
-        return int(self._present.sum())
+        return 1 + int(np.count_nonzero(self._parent >= 0))
 
     def level(self, p: int) -> int:
         self._check_member(p)
@@ -73,7 +71,7 @@ class CoverTree:
         return self.base ** int(self._level[p])
 
     def _check_member(self, p: int) -> None:
-        if not (0 <= p < self._present.shape[0]) or not self._present[p]:
+        if not (0 <= p < self._parent.shape[0]) or not (p == self.root or self._parent[p] >= 0):
             raise ValueError(f"point {p} is not in the tree")
 
     def insert_many(self, points) -> None:
@@ -95,11 +93,13 @@ class CoverTree:
         The result equals that of one call per point.
         """
         ps = np.asarray(points, dtype=np.int64).reshape(-1)
-        n = self._present.shape[0]
+        n = self._parent.shape[0]
         bad = (ps < 0) | (ps >= n)
         if bad.any():
             raise ValueError(f"point id {int(ps[bad][0])} out of range")
-        seen = self._present.copy()
+        # Members are the root and every point inserted under a parent.
+        seen = self._parent >= 0
+        seen[self.root] = True
         for p in ps.tolist():
             if seen[p]:
                 raise ValueError(f"point {p} already inserted")
@@ -130,7 +130,6 @@ class CoverTree:
                 break
             self._parent[p] = node
             self._level[p] = self._level[node] - 1
-            self._present[p] = True
             joined.setdefault(node, []).append(i)
         for node, late in joined.items():
             self._kids[node] = np.concatenate([self._kids[node], ps[late]])

@@ -355,14 +355,8 @@ def _random_neighbor_init(
     for u in np.nonzero(counts < K)[0]:
         # Rare small-n case: too many repeated draws. Keep the distinct ones
         # and top up with the smallest unused ids.
-        have = [int(v) for v in dict.fromkeys(srt[u].tolist())]
-        have_set = set(have)
-        for i in range(n):
-            if len(have) >= K:
-                break
-            if i != u and i not in have_set:
-                have.append(i)
-        ids[u] = np.asarray(have[:K], dtype=np.int64)
+        have = srt[u][fresh[u]]
+        ids[u] = np.concatenate([have, np.setdiff1d(np.arange(n), np.append(have, u))])[:K]
     return ids
 
 

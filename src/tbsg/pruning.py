@@ -213,81 +213,66 @@ def _select_from_arrays(
     select_neighbors hand them over. Scanning a pool in that order, a
     candidate is kept unless an already-kept neighbor blocks it, up to
     params.m kept. Zero-length edges (s itself, exact duplicates of s) carry
-    no search progress and break the angle terms, so they are dropped. The
-    kept positions come back sorted, so each node's kept ids stay in
-    distance order.
+    no search progress and break the angle terms, so they are dropped.
+
+    Whole nodes are pruned in lock-step, a chunk at a time. Each round keeps
+    every node's first alive candidate, and one pairwise_distances call,
+    gathering each pair's rows by id, measures that keeper against the
+    node's other alive candidates: those the strategy's rule blocks are
+    struck out. A node left with nothing alive never comes back, so every
+    node alive in round r has kept r - 1: the degree cap is the round count,
+    and round m keeps its keepers without measuring anything. Each pair
+    distance is computed once, as the per-node scan would. Keepers go into
+    one mask over the whole pool, so its nonzero positions come back
+    ascending and each node's kept ids stay in distance order.
     """
     n = offsets.shape[0] - 1
     per_chunk = max(1, _CHUNK_VALUES // max(dataset.dim, 1))
-    kept = []
+    if params.strategy == "nssg":
+        cos_threshold = math.cos(params.alpha_t) - _COS_SLACK
+    kept = np.zeros(cand_ids.shape[0], dtype=bool)
     lo = 0
     while lo < n:
         # Whole nodes, at least one, of at most per_chunk candidates together.
         hi = int(np.searchsorted(offsets, offsets[lo] + per_chunk, side="right")) - 1
         hi = max(hi, lo + 1)
-        kept.append(offsets[lo] + _prune_chunk(lo, hi, offsets, cand_ids, cand_d, params, dataset))
-        lo = hi
-    return np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=np.int64)
-
-
-def _prune_chunk(
-    lo: int,
-    hi: int,
-    offsets: np.ndarray,
-    cand_ids: np.ndarray,
-    cand_d: np.ndarray,
-    params: StrategyParams,
-    dataset: Dataset,
-) -> np.ndarray:
-    """Kept positions, relative to offsets[lo], of nodes lo..hi-1 pruned in
-    lock-step.
-
-    Each round keeps every node's first alive candidate, and one
-    pairwise_distances call, gathering each pair's rows by id, measures that
-    keeper against the node's other alive candidates: those the strategy's
-    rule blocks are struck out. A node stops at m kept or when nothing is
-    alive, so it takes at most m rounds, and each pair distance is computed
-    once, as the per-node scan would.
-    """
-    start, stop = offsets[lo], offsets[hi]
-    ids, d = cand_ids[start:stop], cand_d[start:stop]
-    owner = np.repeat(np.arange(hi - lo), np.diff(offsets[lo : hi + 1]))
-    if params.strategy == "tbsg":
-        radius = d
-        if params.r_mode == "static":
-            r_s = params.static_r[lo:hi][owner]
-            # A node whose nearest neighbor is a duplicate has no usable
-            # static radius; fall back to the dynamic rule for it.
-            radius = np.where(r_s > 0.0, r_s, d)
-    elif params.strategy == "nssg":
-        cos_threshold = math.cos(params.alpha_t) - _COS_SLACK
-    room = np.full(hi - lo, params.m)
-    alive = np.flatnonzero(d > 0.0)
-    kept = []
-    while alive.size:
-        own = owner[alive]
-        first = _run_starts(own)
-        keepers = alive[first]
-        kept.append(keepers)
-        room[own[first]] -= 1
-        # The rest of each node's alive candidates, paired with its keeper.
-        rest = alive[~first]
-        v = keepers[np.cumsum(first)[~first] - 1]
-        has_room = room[owner[rest]] > 0
-        rest, v = rest[has_room], v[has_room]
-        d_ve = pairwise_distances(dataset, ids[v], ids[rest])
-        d_sv, d_se = d[v], d[rest]
-        if params.strategy == "nssg":
-            num = d_sv * d_sv + d_se * d_se - d_ve * d_ve
-            blocked = num / (2.0 * d_sv * d_se) >= cos_threshold
-        else:
-            blocked = d_ve < d_se
+        start, stop = offsets[lo], offsets[hi]
+        ids, d, chunk_kept = cand_ids[start:stop], cand_d[start:stop], kept[start:stop]
+        owner = np.repeat(np.arange(hi - lo), np.diff(offsets[lo : hi + 1]))
         if params.strategy == "tbsg":
-            # The probability rule only narrows the RNG rule's blocks.
-            b = np.flatnonzero(blocked)
-            blocked[b] = _min_prob_pairs(d_se[b], d_sv[b], d_ve[b], radius[rest[b]]) >= params.mp
-        alive = rest[~blocked]
-    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+            radius = d
+            if params.r_mode == "static":
+                r_s = params.static_r[lo:hi][owner]
+                # A node whose nearest neighbor is a duplicate has no usable
+                # static radius; fall back to the dynamic rule for it.
+                radius = np.where(r_s > 0.0, r_s, d)
+        alive = np.flatnonzero(d > 0.0)
+        for rnd in range(1, params.m + 1):
+            if not alive.size:
+                break
+            first = _run_starts(owner[alive])
+            keepers = alive[first]
+            chunk_kept[keepers] = True
+            if rnd == params.m:
+                break
+            # The rest of each node's alive candidates, paired with its keeper.
+            rest = alive[~first]
+            v = keepers[np.cumsum(first)[~first] - 1]
+            d_ve = pairwise_distances(dataset, ids[v], ids[rest])
+            d_sv, d_se = d[v], d[rest]
+            if params.strategy == "nssg":
+                num = d_sv * d_sv + d_se * d_se - d_ve * d_ve
+                blocked = num / (2.0 * d_sv * d_se) >= cos_threshold
+            else:
+                blocked = d_ve < d_se
+            if params.strategy == "tbsg":
+                # The probability rule only narrows the RNG rule's blocks.
+                b = np.flatnonzero(blocked)
+                r = radius[rest[b]]
+                blocked[b] = _min_prob_pairs(d_se[b], d_sv[b], d_ve[b], r) >= params.mp
+            alive = rest[~blocked]
+        lo = hi
+    return np.flatnonzero(kept)
 
 
 def select_neighbors(

@@ -13,6 +13,7 @@ from tbsg import (
     StrategyParams,
     TbsgParams,
     TriangleGeom,
+    build_knng,
     build_tbsg,
     generate_synthetic,
     l2_distance,
@@ -20,6 +21,7 @@ from tbsg import (
     monte_carlo_prob,
     select_neighbors,
 )
+from tbsg.core import pairwise_distances
 from tbsg.pruning import analytic_disk_prob, _bisector_offset
 
 
@@ -415,3 +417,32 @@ class TestChunkBudget:
                 mine = kept[(kept >= offsets[s]) & (kept < offsets[s + 1])]
                 want = literal_select(ds, s, [(c, d) for d, c in pools[s]], params)
                 assert cand_ids[mine].tolist() == want, (params.strategy, s)
+
+
+class TestRounds:
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("values,chunks", [(1 << 40, 1), (2000 * 8, 3)])
+    def test_round_m_measures_nothing(self, monkeypatch, m, values, chunks):
+        # Every node alive in round r has kept r - 1 neighbours, so round m
+        # keeps each node's first alive candidate without measuring it
+        # against the rest: at m = 1 no pair distance is computed, and a
+        # chunk whose nodes reach m makes at most m - 1 pairwise_distances
+        # calls. 2000 * 8 values make chunks of 100 nodes of 20 candidates.
+        ds = generate_synthetic(300, 8, clusters=2, spread=1.0, seed=3)
+        kg = build_knng(ds, 20, exact=True)
+        offsets = np.arange(0, kg.ids.size + 1, 20)
+        calls = []
+
+        def spy(dataset, a, b):
+            calls.append(len(a))
+            return pairwise_distances(dataset, a, b)
+
+        monkeypatch.setattr(tbsg.pruning, "pairwise_distances", spy)
+        monkeypatch.setattr(tbsg.pruning, "_CHUNK_VALUES", values)
+        params = StrategyParams(strategy="rng", m=m)
+        kept = tbsg.pruning._select_from_arrays(
+            offsets, kg.ids.ravel(), kg.dists.ravel(), params, ds
+        )
+        degree = np.diff(np.searchsorted(kept, offsets))
+        assert degree.max() == m
+        assert len(calls) <= chunks * (m - 1)
