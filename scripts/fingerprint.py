@@ -13,9 +13,14 @@ parent. The outputs are:
   real pool (build_tbsg prunes with tbsg alone, so the index hashes do not
   pin the other two rules);
 - NN-descent ids and distances on criterion 08's set, and on a 20k x 16 set
-  whose rounds propose enough pairs to split the merge into several shards.
+  whose rounds propose enough pairs to split the merge into several shards;
+- exact KNNG ids and distances at K=20 on criterion 09's 16k x 16 set, which
+  takes the sampled-cut shortlist, and on 200 rows taken 30 times, where
+  many points have K + 1 exact duplicates of lower id;
+- the cover tree's parents on criterion 09's set (seed 3), whose inserts
+  rank the root's children through the same exact top-k.
 
-The whole run took 27-32 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
+The whole run took 29-32 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
 OpenBLAS).
 """
 
@@ -25,6 +30,8 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -37,6 +44,8 @@ from tbsg import (  # noqa: E402
     Dataset,
     StrategyParams,
     TbsgParams,
+    build_cover_tree,
+    build_exact_knng,
     build_knng,
     build_tbsg,
     generate_synthetic,
@@ -95,6 +104,15 @@ def main() -> None:
         for part, values in (("ids", kg.ids), ("dists", kg.dists)):
             sha = hashlib.sha256(values.tobytes()).hexdigest()
             print(f"nn-descent {label} {part}  {sha}", flush=True)
+    c09 = generate_synthetic(16_000, 16, clusters=1, spread=1.0, seed=7)
+    tiled = Dataset(np.tile(generate_synthetic(200, 8, seed=0).vectors, (30, 1)))
+    for label, ds in (("criterion-09", c09), ("200-x-8-tiled-30", tiled)):
+        kg = build_exact_knng(ds, 20)
+        for part, values in (("ids", kg.ids), ("dists", kg.dists)):
+            sha = hashlib.sha256(values.tobytes()).hexdigest()
+            print(f"exact-knng {label} {part}  {sha}", flush=True)
+    parents = build_cover_tree(c09, seed=3).parents()
+    print(f"cover-tree criterion-09  {hashlib.sha256(parents.tobytes()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def brute_force_groundtruth(dataset: Dataset, queries: Dataset, k: int) -> Groun
         )
     if not 1 <= k <= dataset.count:
         raise ValueError(f"k must be in [1, {dataset.count}], got {k}")
-    ids, _ = _exact_topk(dataset.vectors64, queries.vectors64, k, exclude_self=False)
+    ids, _ = _exact_topk(dataset.vectors64, queries.vectors64, k)
     return GroundTruth(ids)
 
 
@@ -120,6 +120,8 @@ def run_benchmark(
     time yields QPS. Recall@k (against the first k groundtruth columns) and
     distance evaluations are deterministic, so they come from the first sweep.
     """
+    if queries.count == 0:
+        raise ValueError("queries must be non-empty")
     pool_sizes = sorted(int(l) for l in pool_sizes)
     if not pool_sizes:
         raise ValueError("pool_sizes must be non-empty")
@@ -232,6 +234,8 @@ def scaling_experiment(
         raise ValueError(f"sizes must be strictly ascending, got {sizes}")
     if sizes[0] < 1 or sizes[-1] > dataset.count:
         raise ValueError(f"sizes must lie in [1, {dataset.count}], got {sizes}")
+    if query_count < 1:
+        raise ValueError(f"query_count must be >= 1, got {query_count}")
     if build_params is None:
         build_params = TbsgParams()
     if search_params is None:

@@ -148,20 +148,18 @@ class CoverTree:
         kids = np.sort(self._kids[self.root])
         if not kids.size:
             return [[(-1, np.inf)] * ps.size]
-        pos, d = _exact_topk(x[kids], x[ps], 1, exclude_self=False)
+        pos, d = _exact_topk(x[kids], x[ps], 1)
         child, near = kids[pos[:, 0]], d[:, 0]
-        node = np.full(ps.size, self.root, dtype=np.int64)
         active = np.arange(ps.size)
         steps = []
         while True:
             levels = self._level[child[active]].tolist()
             cover = np.array([self.base ** level for level in levels])
             active = active[near[active] <= cover]
-            node[active] = child[active]
             steps.append(list(zip(child.tolist(), near.tolist())))
             if not active.size:
                 return steps
-            kids = [self._kids[v] for v in node[active].tolist()]
+            kids = [self._kids[v] for v in child[active].tolist()]
             sizes = np.array([k.size for k in kids], dtype=np.int64)
             who = np.repeat(active, sizes)
             cand = np.concatenate(kids)

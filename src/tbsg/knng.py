@@ -49,8 +49,10 @@ _SHARD_ENTRIES = 4_000_000
 
 # Extra shortlist entries the exact top-k re-ranks beyond k, so that a row
 # falls back to its full scan only when distances tie (or nearly) across
-# this many places at its k-th neighbor.
-_SHORTLIST_PAD = 16
+# this many places at its k-th neighbor. 15 keeps the KNNG's shortlist, of
+# k_eff + 1 with each point's own, at k_eff + 16: one wider slowed sift128's
+# K=100 KNNG from 68 to 80 ms (median of solo runs, 2-core Xeon).
+_SHORTLIST_PAD = 15
 
 # The sampled-threshold shortlist (_shortlist): from _THRESHOLD_FROM points
 # on, each row's expansions are cut at an order statistic of about
@@ -136,15 +138,12 @@ def _dense_rank(a: np.ndarray) -> np.ndarray:
 
 
 def _ranked_topk(
-    q: np.ndarray, xc: np.ndarray, cand: np.ndarray, self_ids, k: int
+    q: np.ndarray, xc: np.ndarray, cand: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k best (id, distance) per query row among its candidates, ordered
     by (l2_batch distance, id): cand holds the ids, ascending along each row,
-    and xc their rows (or the whole dataset broadcast); a row's own id in
-    self_ids never qualifies."""
+    and xc their rows (or the whole dataset broadcast)."""
     d = l2_batch(q[:, None, :], xc)
-    if self_ids is not None:
-        d[cand == self_ids[:, None]] = np.inf
     # Stable, so equal distances keep cand's ascending id order.
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d, order, axis=1)
@@ -201,21 +200,19 @@ def _shortlist(
 
 
 def _exact_topk(
-    x: np.ndarray, queries64: np.ndarray, k: int, exclude_self: bool
+    x: np.ndarray, queries64: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (row ids, distances) per query over the float64 rows x; ties by
     ascending row id.
 
-    With exclude_self, query row i is assumed to be row i of x and is
-    removed from its own result. The result is that of ranking a full row of
-    l2_batch distances by (distance, id), bit for bit, but mostly only a
-    shortlist is ranked: per block of queries one matmul of [q, 1] against
-    [-2x, |x|^2] gives the norm expansion |x|^2 - 2 q.x of every squared
-    distance less |q|^2, _shortlist keeps the k + _SHORTLIST_PAD smallest,
-    and l2_batch re-ranks those. A row whose k-th re-ranked squared distance
-    is not below the smallest expansion left out by more than the rounding
-    bound below (ties at the boundary included) is ranked over its full row
-    instead.
+    The result is that of ranking a full row of l2_batch distances by
+    (distance, id), bit for bit, but mostly only a shortlist is ranked: per
+    block of queries one matmul of [q, 1] against [-2x, |x|^2] gives the
+    norm expansion |x|^2 - 2 q.x of every squared distance less |q|^2,
+    _shortlist keeps the k + _SHORTLIST_PAD smallest, and l2_batch re-ranks
+    those. A row whose k-th re-ranked squared distance is not below the
+    smallest expansion left out by more than the rounding bound below (ties
+    at the boundary included) is ranked over its full row instead.
     """
     n, dim = x.shape
     nq = queries64.shape[0]
@@ -236,7 +233,6 @@ def _exact_topk(
     np.multiply(x, -2.0, out=xa[:, :dim])
     xa[:, dim] = np.einsum("ij,ij->i", x, x)
     x_reach = float(np.sqrt(xa[:, dim].max()))
-    all_ids = np.arange(n, dtype=np.int64)
     # The sampled cut's columns: about _SAMPLE_COLUMNS evenly strided ones,
     # their expansions from a matmul of their own.
     xs = xa[:: max(1, n // _SAMPLE_COLUMNS)].T.copy() if n >= _THRESHOLD_FROM else None
@@ -251,42 +247,42 @@ def _exact_topk(
             full = np.arange(start, stop)
         else:
             q = queries64[start:stop]
-            rows = np.arange(stop - start)
-            self_ids = rows + start if exclude_self else None
             qa = np.ones((stop - start, dim + 1), dtype=np.float64)
             qa[:, :dim] = q
             # Into one buffer: a fresh 8 MB result per block cost about a
             # fifth more time at 16k points.
             g = np.matmul(qa, xa.T, out=g_buf[: stop - start])
-            if exclude_self:
-                g[rows, self_ids] = np.inf
             cand, left_out = _shortlist(g, width, None if xs is None else qa @ xs)
-            ids[start:stop], dists[start:stop] = _ranked_topk(q, x[cand], cand, self_ids, k)
+            ids[start:stop], dists[start:stop] = _ranked_topk(q, x[cand], cand, k)
             q_sq = np.einsum("ij,ij->i", q, q)
             left_out += q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2
             safe = left_out * (1.0 - slack) > dists[start:stop, -1] ** 2 * (1.0 + slack)
             full = start + np.flatnonzero(~safe)
         for f0 in range(0, full.size, full_block):
             r = full[f0 : f0 + full_block]
-            cand = np.broadcast_to(all_ids, (r.size, n))
-            own = r if exclude_self else None
-            ids[r], dists[r] = _ranked_topk(queries64[r], x[None, :, :], cand, own, k)
+            cand = np.broadcast_to(np.arange(n), (r.size, n))
+            ids[r], dists[r] = _ranked_topk(queries64[r], x[None, :, :], cand, k)
     return ids, dists
 
 
 def build_exact_knng(dataset: Dataset, K: int) -> KnnGraph:
     """Exact K nearest neighbors per node (K clamped to n-1), equal to a
-    brute-force scan's."""
+    brute-force scan's: each point's k_eff + 1 nearest, returned as views past
+    column 0, which the point leads at distance 0 unless exact duplicates of
+    lower id rank ahead; such rows drop it, or their last entry if it is out."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     n = dataset.count
     k_eff = min(K, max(n - 1, 0))
     if k_eff == 0:
-        return KnnGraph(
-            np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64), K
-        )
-    ids, dists = _exact_topk(dataset.vectors64, dataset.vectors64, k_eff, exclude_self=True)
-    return KnnGraph(ids, dists, K)
+        return KnnGraph(np.empty((n, 0), dtype=np.int64), np.empty((n, 0)), K)
+    ids, dists = _exact_topk(dataset.vectors64, dataset.vectors64, k_eff + 1)
+    odd = np.flatnonzero(ids[:, 0] != np.arange(n))
+    keep = ids[odd] != odd[:, None]
+    keep[keep.all(axis=1), -1] = False
+    ids[odd, 1:] = ids[odd][keep].reshape(-1, k_eff)
+    dists[odd, 1:] = dists[odd][keep].reshape(-1, k_eff)
+    return KnnGraph(ids[:, 1:], dists[:, 1:], K)
 
 
 def knng_recall(approx: KnnGraph, exact: KnnGraph) -> float:

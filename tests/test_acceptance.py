@@ -167,7 +167,7 @@ def test_criterion_04_matches_literal_transliterations(capsys):
         n = 10 + (t * 11) % 91
         d = 2 + t % 6
         ds = generate_synthetic(n, d, clusters=1 + t % 3, spread=1.0, seed=7000 + t)
-        index = _build(ds, TbsgParams(K=8, m=6, mp=0.53, iterations=4, seed=t), f"fidelity t={t}")
+        index = _build(ds, TbsgParams(K=8, m=6, mp=0.53, seed=t), f"fidelity t={t}")
         q = generate_synthetic(1, d, clusters=1, spread=1.5, seed=8000 + t).vector(0)
         l = 1 + t % 20
         k = min(l, 1 + t % 10)
@@ -184,7 +184,7 @@ def test_criterion_05_exhaustive_search_is_exact(capsys):
     reachable = 0
     for t in range(100):
         ds = generate_synthetic(50, 4, clusters=2, spread=1.0, seed=100 + t)
-        index = _build(ds, TbsgParams(K=10, m=16, mp=0.53, iterations=5, seed=t), f"exhaustive t={t}")
+        index = _build(ds, TbsgParams(K=10, m=16, mp=0.53, seed=t), f"exhaustive t={t}")
         if reachable_fraction(index) == 1.0:
             reachable += 1
         q = generate_synthetic(1, 4, clusters=1, spread=1.5, seed=999 + t).vector(0)
@@ -221,7 +221,7 @@ def test_criterion_06_desk_scale_recall(capsys, desk_scale):
 def test_criterion_07_degree_cap_on_every_build(capsys, desk_scale):
     for m in (1, 3, 50):
         ds = generate_synthetic(400, 8, clusters=2, spread=1.0, seed=70 + m)
-        _build(ds, TbsgParams(K=12, m=m, mp=0.53, iterations=5, seed=m), f"cap m={m}")
+        _build(ds, TbsgParams(K=12, m=m, mp=0.53, seed=m), f"cap m={m}")
     over = [(label, deg, m) for label, deg, m in _DEGREE_CHECKS if deg > m]
     ok = len(_DEGREE_CHECKS) >= 4 and not over
     _report(capsys, 7, ok, f"{len(_DEGREE_CHECKS)} builds checked, cap violations {len(over)}")
@@ -243,7 +243,7 @@ def test_criterion_09_near_linear_scaling(capsys):
     result = scaling_experiment(
         ds,
         [2000, 4000, 8000, 16000],
-        build_params=TbsgParams(K=20, m=20, iterations=10, seed=3),
+        build_params=TbsgParams(K=20, m=20, seed=3),
         search_params=SearchParams(l=100, k=10),
     )
     elapsed = time.perf_counter() - t0
@@ -291,7 +291,7 @@ def test_criterion_10_cover_tree_invariants(capsys):
 
 def test_criterion_11_serialization_round_trips(capsys, tmp_path):
     ds = generate_synthetic(300, 8, clusters=2, spread=1.0, seed=12)
-    index = _build(ds, TbsgParams(K=10, m=12, iterations=5, seed=0), "round-trip")
+    index = _build(ds, TbsgParams(K=10, m=12, seed=0), "round-trip")
     first, second = tmp_path / "a.tbsg", tmp_path / "b.tbsg"
     save_index(index, first)
     loaded = load_index(first)

@@ -123,6 +123,13 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="fewer than k"):
             run_benchmark(index, ds, queries, GroundTruth(gt.ids[:, :4]), 5, [10])
 
+    def test_rejects_empty_queries(self):
+        index, ds, _, _ = self._tiny()
+        empty = Dataset(np.empty((0, 4), dtype=np.float32))
+        gt = GroundTruth(np.empty((0, 5), dtype=np.int64))
+        with pytest.raises(ValueError, match="queries must be non-empty"):
+            run_benchmark(index, ds, empty, gt, 5, [10], repetitions=1)
+
     def test_recall_scores_the_first_k_groundtruth_columns(self):
         index, ds, queries, gt = self._tiny()
         wide = brute_force_groundtruth(ds, queries, 20)
@@ -190,6 +197,12 @@ class TestScalingExperiment:
             scaling_experiment(ds, [50, 200])
         with pytest.raises(ValueError, match="non-empty"):
             scaling_experiment(ds, [])
+
+    @pytest.mark.parametrize("query_count", [0, -3])
+    def test_rejects_query_count_below_one(self, query_count):
+        ds = generate_synthetic(100, 4, seed=8)
+        with pytest.raises(ValueError, match="query_count must be >= 1"):
+            scaling_experiment(ds, [50, 100], query_count=query_count)
 
 
 class TestProbCheck:

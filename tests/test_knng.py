@@ -120,38 +120,40 @@ class TestExactTopk:
         ds = Dataset(data)
         x = ds.vectors64
         q64 = Dataset(queries).vectors64
-        # n - 17 makes the shortlist every point but the query itself.
+        # At n - 17 the KNNG's shortlist of k + 1 + 15 leaves one point out.
         for k in (1, 7, 30, n - 17, n - 1):
+            kg = build_exact_knng(ds, k)
             for got, want in (
-                (_exact_topk(x, x, k, True), literal_topk(x, x, k, True)),
-                (_exact_topk(x, q64, k, False), literal_topk(x, q64, k, False)),
-                (_exact_topk(x, q64, n, False), literal_topk(x, q64, n, False)),
+                ((kg.ids, kg.dists), literal_topk(x, x, k, True)),
+                (_exact_topk(x, q64, k), literal_topk(x, q64, k, False)),
+                (_exact_topk(x, q64, n), literal_topk(x, q64, n, False)),
             ):
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
 
     def test_full_row_scans_only_at_ties(self, monkeypatch):
-        # Each "duplicates" point has two exact copies. Excluding itself, a
-        # point's neighbors come as its two copies, then triples of equal
-        # distance at ranks 3-5, 6-8, 9-11, ...: at k=9 the k-th ties the
-        # next one, but not the first one past a shortlist of k + 16. With
-        # every row identical, ties run through any shortlist.
+        # Each "duplicates" point has two exact copies. The KNNG ranks a
+        # point's 10 nearest for K=9, itself included: itself and its two
+        # copies, then triples of equal distance at ranks 4-6, 7-9, 10-12,
+        # ...: the 10th ties the next one, but not the first one past a
+        # shortlist of 10 + 15. With every row identical, ties run through
+        # any shortlist, and from row 10 on a row's 10 nearest are rows 0-9.
         scanned = []
         real = knng_module._ranked_topk
 
-        def spy(q, xc, cand, self_ids, k):
+        def spy(q, xc, cand, k):
             scanned.append(q.shape[0] if cand.shape[1] == x.shape[0] else 0)
-            return real(q, xc, cand, self_ids, k)
+            return real(q, xc, cand, k)
 
         monkeypatch.setattr(knng_module, "_ranked_topk", spy)
         for kind, full_rows in (("duplicates", 0), ("identical", 600)):
             ds = Dataset(_topk_inputs(kind, 600, 16, seed=3)[0])
             x = ds.vectors64
             scanned.clear()
-            got = _exact_topk(x, x, 9, True)
+            got = build_exact_knng(ds, 9)
             want = literal_topk(x, x, 9, True)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got.ids, want[0])
+            assert np.array_equal(got.dists, want[1])
             assert sum(scanned) == full_rows
 
 
@@ -164,6 +166,10 @@ def _large_topk_inputs(kind, n, dim):
     base = rng.standard_normal((n, dim)).astype(np.float32)
     if kind == "duplicated":
         return np.concatenate([base[: n // 2], base[: n // 2]])
+    if kind == "tiled":
+        # 41 copies of each row: from its 22nd copy on, a point's K=20
+        # nearest plus itself are all copies of lower id.
+        return np.tile(base[: n // 41], (41, 1))
     if kind == "sorted":
         return base[np.argsort(base[:, 0], kind="stable")]
     return base
@@ -177,7 +183,7 @@ class TestThresholdShortlist:
 
     N = 4100  # n // 1024 leaves a ragged last stride
 
-    @pytest.mark.parametrize("kind", ["gaussian", "clusters", "duplicated", "sorted"])
+    @pytest.mark.parametrize("kind", ["gaussian", "clusters", "duplicated", "sorted", "tiled"])
     def test_matches_literal_full_scan(self, monkeypatch, kind):
         monkeypatch.setattr(knng_module, "_THRESHOLD_FROM", self.N)
         sampled = []
@@ -192,9 +198,9 @@ class TestThresholdShortlist:
         x = ds.vectors64
         want = literal_topk(x, x, 20, True)
         for k in (1, 20):
-            got = _exact_topk(x, x, k, True)
-            assert np.array_equal(got[0], want[0][:, :k])
-            assert np.array_equal(got[1], want[1][:, :k])
+            got = build_exact_knng(ds, k)
+            assert np.array_equal(got.ids, want[0][:, :k])
+            assert np.array_equal(got.dists, want[1][:, :k])
         assert sampled and all(sampled)
         # A cut at the sample's minimum leaves about n / 1024 survivors per
         # row, fewer than the shortlist needs, so most rows take the full
@@ -202,9 +208,9 @@ class TestThresholdShortlist:
         # the rows of each block there.
         for survivors in (0, 1):
             monkeypatch.setattr(knng_module, "_SURVIVORS", survivors)
-            got = _exact_topk(x, x, 20, True)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            got = build_exact_knng(ds, 20)
+            assert np.array_equal(got.ids, want[0])
+            assert np.array_equal(got.dists, want[1])
 
 
 class TestNnDescent:
