@@ -12,8 +12,10 @@ parent. The outputs are:
 - the kept positions of pruning's rng and nssg rules on the desk base set's
   real pool (build_tbsg prunes with tbsg alone, so the index hashes do not
   pin the other two rules);
-- NN-descent ids and distances on criterion 08's set, and on a 20k x 16 set
-  whose rounds propose enough pairs to split the merge into several shards;
+- NN-descent ids and distances on criterion 08's set, on a 20k x 16 set
+  whose rounds propose enough pairs to split the merge into several shards,
+  and after one round at K=100 on the desk base set, where the join pools
+  hold 60 of each node's 100 entries, so their random selection is pinned;
 - exact KNNG ids and distances at K=20 on criterion 09's 16k x 16 set, which
   takes the sampled-cut shortlist, and on 200 rows taken 30 times, where
   many points have K + 1 exact duplicates of lower id;
@@ -96,11 +98,12 @@ def main() -> None:
         sha = hashlib.sha256(kept.tobytes()).hexdigest()
         print(f"pruning desk {strategy}  {sha}", flush=True)
     runs = [
-        ("criterion-08", generate_synthetic(2000, 16, clusters=4, spread=1.0, seed=8), 8),
-        ("20k-x-16", generate_synthetic(20_000, 16, seed=7), 3),
+        ("criterion-08", generate_synthetic(2000, 16, clusters=4, spread=1.0, seed=8), 20, 10, 8),
+        ("20k-x-16", generate_synthetic(20_000, 16, seed=7), 20, 10, 3),
+        ("desk-K100", Dataset(base), 100, 1, 0),
     ]
-    for label, ds, seed in runs:
-        kg = build_knng(ds, 20, iterations=10, seed=seed)
+    for label, ds, K, iterations, seed in runs:
+        kg = build_knng(ds, K, iterations=iterations, seed=seed)
         for part, values in (("ids", kg.ids), ("dists", kg.dists)):
             sha = hashlib.sha256(values.tobytes()).hexdigest()
             print(f"nn-descent {label} {part}  {sha}", flush=True)

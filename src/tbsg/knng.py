@@ -423,7 +423,7 @@ def _local_join_pairs(
     (unordered) plus new x old."""
     cap = new_rect.shape[1]
     iu, ju = np.triu_indices(cap, k=1)
-    keys = []
+    keys = [np.empty(0, dtype=np.int64)]
     block = max(1, (1 << 21) // max(cap * cap, 1))
     for s0 in range(0, new_rect.shape[0], block):
         fn = new_rect[s0 : s0 + block]
@@ -437,11 +437,7 @@ def _local_join_pairs(
         ok2 = (a2 >= 0) & (b2 >= 0) & (a2 != b2)
         lo = np.concatenate([np.minimum(a, b), np.minimum(a2[ok2], b2[ok2])])
         hi = np.concatenate([np.maximum(a, b), np.maximum(a2[ok2], b2[ok2])])
-        if lo.size:
-            keys.append(_sorted_unique(lo * np.int64(n) + hi))
-    if not keys:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        keys.append(_sorted_unique(lo * np.int64(n) + hi))
     key = _sorted_unique(np.concatenate(keys))
     return key // n, key % n
 
@@ -481,8 +477,6 @@ def _apply_updates(
         worst_d = dists[node, K - 1]
         ok = (d < worst_d) | ((d == worst_d) & (cand <= ids[node, K - 1]))
         node, cand, d = node[ok], cand[ok], d[ok]
-        if d.size == listed:
-            continue
         flag = np.concatenate([flags[lo:hi].ravel(), np.ones(d.size - listed, dtype=bool)])
         pos = _ranked_unique(node, cand, d, n)
         pos = pos[_rank_in_run(node[pos]) < K]
@@ -534,8 +528,6 @@ def build_knng(
     for _ in range(iterations):
         new_rect, old_rect = _sample_candidates(rng, ids, flags, cap)
         pa, pb = _local_join_pairs(new_rect, old_rect, n)
-        if pa.size == 0:
-            break
         pd = pairwise_distances(dataset, pa, pb)
         changed = _apply_updates(ids, dists, flags, pa, pb, pd)
         if changed <= _CONVERGENCE_DELTA * n * K:
