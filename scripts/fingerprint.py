@@ -22,7 +22,7 @@ parent. The outputs are:
 - the cover tree's parents on criterion 09's set (seed 3), whose inserts
   rank the root's children through the same exact top-k.
 
-The whole run took 29-32 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
+The whole run took 31-34 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
 OpenBLAS).
 """
 

@@ -75,13 +75,13 @@ def brute_force_groundtruth(dataset: Dataset, queries: Dataset, k: int) -> Groun
 
 
 def recall(results, gt: GroundTruth) -> float:
-    """Mean over queries of |returned ids ∩ groundtruth ids| / k."""
+    """Mean over queries (at least one) of |returned ids ∩ groundtruth ids| / k."""
     if len(results) != gt.ids.shape[0]:
         raise ValueError(
             f"result count {len(results)} does not match groundtruth {gt.ids.shape[0]}"
         )
     if gt.ids.shape[0] == 0:
-        return 1.0
+        raise ValueError("queries must be non-empty")
     hits = 0
     for res, truth in zip(results, gt.ids):
         hits += np.intersect1d(np.asarray(res, dtype=np.int64), truth).size

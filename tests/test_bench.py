@@ -83,6 +83,10 @@ class TestRecall:
         with pytest.raises(ValueError, match="does not match"):
             recall([[1]], GroundTruth(np.array([[1], [2]])))
 
+    def test_no_queries(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            recall([], GroundTruth(np.empty((0, 3), dtype=np.int64)))
+
 
 class TestRunBenchmark:
     def _tiny(self):

@@ -19,6 +19,7 @@ from tbsg.knng import (
     _exact_topk,
     _local_join_pairs,
     _random_neighbor_init,
+    _sample_candidates,
 )
 
 from literal_algos import literal_topk, literal_union
@@ -248,12 +249,9 @@ class TestNnDescent:
         with pytest.raises(ValueError, match="iterations"):
             build_knng(ds, 5, iterations=0)
 
-    def test_random_init_tops_up_rows_short_of_distinct_draws(self):
-        # At n=12, K=10 and seed 0 the K + 8 draws of several rows hold
-        # fewer than K distinct ids, so they take the smallest unused ones.
+    def test_random_init_rows_are_distinct_non_self_and_seeded(self):
+        # K = n - 2 leaves each row one other id out.
         n, K = 12, 10
-        draws = np.random.Generator(np.random.PCG64(0)).integers(0, n - 1, size=(n, K + 8))
-        assert min(np.unique(row).size for row in draws) < K
         ids = _random_neighbor_init(np.random.Generator(np.random.PCG64(0)), n, K)
         assert ids.shape == (n, K)
         for u in range(n):
@@ -262,6 +260,44 @@ class TestNnDescent:
             assert all(0 <= v < n for v in row)
         again = _random_neighbor_init(np.random.Generator(np.random.PCG64(0)), n, K)
         assert np.array_equal(ids, again)
+
+    def test_random_init_is_uniform_over_the_id_range(self):
+        # 40,000 slots over ten id ranges of 200: about 4,000 each.
+        ids = _random_neighbor_init(np.random.Generator(np.random.PCG64(8)), 2000, 20)
+        tenths = np.bincount(ids.ravel() // 200, minlength=10)
+        assert np.all(np.abs(tenths - 4000) <= 400), tenths
+
+    def test_old_pool_holds_only_entries_old_at_round_start(self):
+        # Every entry is new, so the new pool is sampled and marked old, and
+        # the old pool stays empty this round.
+        n, K = 50, 6
+        rng = np.random.Generator(np.random.PCG64(1))
+        ids = _random_neighbor_init(rng, n, K)
+        flags = np.ones((n, K), dtype=bool)
+        new_rect, old_rect = _sample_candidates(rng, ids, flags, K)
+        assert np.all(new_rect[:, 0] >= 0)
+        assert not flags.any()
+        assert np.all(old_rect == -1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_proposing_nothing_stops_the_build(self, monkeypatch, seed):
+        # At K=1 round 1's pools hold one new entry each and no old one, so
+        # the join proposes no pair, no slot changes and the build stops.
+        ds = generate_synthetic(300, 8, seed=seed)
+        proposed = []
+        real = knng_module._local_join_pairs
+
+        def spy(*args):
+            pairs = real(*args)
+            proposed.append(pairs[0].size)
+            return pairs
+
+        monkeypatch.setattr(knng_module, "_local_join_pairs", spy)
+        once = build_knng(ds, 1, iterations=1, seed=seed)
+        more = build_knng(ds, 1, iterations=5, seed=seed)
+        assert proposed == [0, 0]
+        assert np.array_equal(once.ids, more.ids)
+        assert np.array_equal(once.dists, more.dists)
 
 
 class TestBuilderChoice:
@@ -405,6 +441,16 @@ class TestApplyUpdates:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_per_node_reference(self, seed):
         self._check(*self._case(seed))
+
+    def test_proposals_too_far_for_any_list_change_nothing(self):
+        # Listed distances are 1-5, so every proposal sorts after every
+        # node's worst entry.
+        ids, dists, flags, pa, pb, pd = self._case(0)
+        want = ids.copy(), dists.copy(), flags.copy()
+        assert _apply_updates(ids, dists, flags, pa, pb, pd + 10.0) == 0
+        assert np.array_equal(ids, want[0])
+        assert np.array_equal(dists, want[1])
+        assert np.array_equal(flags, want[2])
 
     @pytest.mark.parametrize("shard_entries", [1, 8])
     @pytest.mark.parametrize("seed", range(5))
