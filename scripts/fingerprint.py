@@ -20,7 +20,9 @@ parent. The outputs are:
   takes the sampled-cut shortlist, and on 200 rows taken 30 times, where
   many points have K + 1 exact duplicates of lower id;
 - the cover tree's parents on criterion 09's set (seed 3), whose inserts
-  rank the root's children through the same exact top-k.
+  rank the root's children through the same exact top-k;
+- the report CSV bytes of a seeded prob_check (dims 2 and 3, 10k samples),
+  which pin write_report_csv's format.
 
 The whole run took 31-34 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
 OpenBLAS).
@@ -53,6 +55,7 @@ from tbsg import (  # noqa: E402
     generate_synthetic,
     save_index,
 )
+from tbsg.bench import prob_check, write_report_csv  # noqa: E402
 from tbsg.pruning import _select_from_arrays  # noqa: E402
 
 
@@ -116,6 +119,10 @@ def main() -> None:
             print(f"exact-knng {label} {part}  {sha}", flush=True)
     parents = build_cover_tree(c09, seed=3).parents()
     print(f"cover-tree criterion-09  {hashlib.sha256(parents.tobytes()).hexdigest()}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prob-check.csv"
+        write_report_csv(prob_check(dims=(2, 3), samples=10_000, seed=0).rows, path)
+        print(f"report prob-check  {hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":

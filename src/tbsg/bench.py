@@ -8,10 +8,11 @@ sweeps and reported as the median.
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -157,41 +158,47 @@ def run_benchmark(
     return BenchmarkReport(rows=rows, metadata=dict(metadata or {}))
 
 
-def write_report_csv(report: BenchmarkReport, path) -> None:
-    """Emit metadata as '# key=value' comment lines, then a CSV table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(report.metadata):
-            fh.write(f"# {key}={report.metadata[key]}\n")
-        fh.write("l,recall,qps,mean_distance_evals\n")
-        for row in report.rows:
-            fh.write(f"{row.l},{row.recall!r},{row.qps!r},{row.mean_distance_evals!r}\n")
+def _cells(row) -> dict:
+    """A result row's columns by field name, a nested dataclass spread into
+    its own fields in place."""
+    out = {}
+    for f in fields(row):
+        value = getattr(row, f.name)
+        out.update(_cells(value) if is_dataclass(value) else {f.name: value})
+    return out
+
+
+def write_report_csv(rows, path, metadata: dict[str, str] | None = None) -> None:
+    """Write result rows: '# key=value' metadata lines, then a CSV table with
+    one column per field (see _cells) and LF line ends. csv writes floats by
+    repr, so every cell reads back to its exact value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for key in sorted(metadata or {}):
+            fh.write(f"# {key}={metadata[key]}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        for i, cells in enumerate(map(_cells, rows)):
+            if i == 0:
+                writer.writerow(cells)
+            writer.writerow(cells.values())
 
 
 def read_report_csv(path) -> BenchmarkReport:
-    """Inverse of write_report_csv: read_report_csv(write(x)) == x."""
+    """Inverse of write_report_csv for search reports:
+    read_report_csv(write(report.rows, path, report.metadata)) == report."""
     metadata: dict[str, str] = {}
-    rows: list[BenchmarkRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
     body = []
-    for line in lines:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            metadata[key] = value
-        elif line:
-            body.append(line)
-    if not body or body[0] != "l,recall,qps,mean_distance_evals":
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("# "):
+                key, _, value = line[2:].partition("=")
+                metadata[key] = value
+            elif line:
+                body.append(line.split(","))
+    names = [f.name for f in fields(BenchmarkRow)]
+    if not body or body[0] != names or any(len(cells) != len(names) for cells in body):
         raise ValueError(f"{path}: not a benchmark report CSV")
-    for line in body[1:]:
-        l, rec, qps, evals = line.split(",")
-        rows.append(
-            BenchmarkRow(
-                l=int(l),
-                recall=float(rec),
-                qps=float(qps),
-                mean_distance_evals=float(evals),
-            )
-        )
+    rows = [BenchmarkRow(int(l), *map(float, rest)) for l, *rest in body[1:]]
     return BenchmarkReport(rows=rows, metadata=metadata)
 
 

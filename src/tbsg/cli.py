@@ -3,8 +3,8 @@
 Subcommands cover the full reproduction pipeline: generate synthetic data,
 compute brute-force groundtruth, build an index, benchmark search, run the
 scaling experiment, and validate the pruning probability bound. Every
-subcommand prints a human-readable table; --csv additionally writes the same
-numbers machine-readably.
+subcommand prints a human-readable table; search, scale and prob-check take
+--csv to write the same rows machine-readably as well (bench.write_report_csv).
 
 Exit codes: 0 success, 1 data/format error, 2 usage error.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 data/format error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    _cells,
     brute_force_groundtruth,
     GroundTruth,
     prob_check,
@@ -59,6 +59,16 @@ def _print_table(headers: list[str], rows: list[list]) -> None:
     print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     for row in cells:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+
+
+def _report(rows, formats, csv_path=None, metadata=None) -> None:
+    """Print result rows as a table, one format spec per column, and write
+    them to csv_path as well when it is given."""
+    table = [_cells(row) for row in rows]
+    cells = [[format(v, f) for v, f in zip(t.values(), formats, strict=True)] for t in table]
+    _print_table(list(table[0]), cells)
+    if csv_path:
+        write_report_csv(rows, csv_path, metadata)
 
 
 def _build_params(args: argparse.Namespace) -> TbsgParams:
@@ -144,12 +154,7 @@ def _cmd_search(args) -> int:
             "k": str(args.k),
         },
     )
-    _print_table(
-        ["l", "recall", "qps", "mean_distance_evals"],
-        [[r.l, f"{r.recall:.4f}", f"{r.qps:.1f}", f"{r.mean_distance_evals:.1f}"] for r in report.rows],
-    )
-    if args.csv:
-        write_report_csv(report, args.csv)
+    _report(report.rows, ("", ".4f", ".1f", ".1f"), args.csv, report.metadata)
     return 0
 
 
@@ -169,50 +174,20 @@ def _cmd_scale(args) -> int:
         build_params=params,
         search_params=SearchParams(l=args.l, k=args.k),
     )
-    _print_table(
-        ["n", "build_seconds", "mean_distance_evals"],
-        [[r.n, f"{r.build_seconds:.2f}", f"{r.mean_distance_evals:.1f}"] for r in result.rows],
-    )
+    _report(result.rows, ("", ".2f", ".1f"), args.csv)
     if result.build_time_exponent is not None:
         print(f"build-time exponent (log t vs log n): {result.build_time_exponent:.3f}")
         print(f"evals exponent (log evals vs log log n): {result.evals_loglog_exponent:.3f}")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "build_seconds", "mean_distance_evals"])
-            for r in result.rows:
-                writer.writerow([r.n, repr(r.build_seconds), repr(r.mean_distance_evals)])
     return 0
 
 
 def _cmd_prob_check(args) -> int:
     result = prob_check(dims=args.dims, samples=args.samples, seed=args.seed)
-    headers = ["d_se", "d_sv", "d_ve", "r", "dim", "min_prob", "estimate", "std_error", "bound_ok"]
-    _print_table(headers, [[
-        f"{row.geom.d_se:.4f}",
-        f"{row.geom.d_sv:.4f}",
-        f"{row.geom.d_ve:.4f}",
-        f"{row.geom.r:.4f}",
-        row.dim,
-        f"{row.min_prob:.4f}",
-        f"{row.estimate:.4f}",
-        f"{row.std_error:.5f}",
-        row.bound_ok,
-    ] for row in result.rows])
+    _report(result.rows, (".4f",) * 4 + ("", ".4f", ".4f", ".5f", ""), args.csv)
     for geom, reason in result.skipped:
         print(f"skipped {geom}: {reason}", file=sys.stderr)
     ok = all(row.bound_ok for row in result.rows)
     print(f"cells: {len(result.rows)}  all bounds hold: {'yes' if ok else 'NO'}")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(headers)
-            for row in result.rows:
-                writer.writerow([
-                    repr(row.geom.d_se), repr(row.geom.d_sv), repr(row.geom.d_ve),
-                    repr(row.geom.r), row.dim, repr(row.min_prob), repr(row.estimate),
-                    repr(row.std_error), row.bound_ok,
-                ])
     return 0
 
 

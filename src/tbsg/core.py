@@ -38,7 +38,7 @@ class Dataset:
 
     @property
     def vectors64(self) -> np.ndarray:
-        """float64 view of the data, materialized once and cached."""
+        """float64 copy of the data, made on first use and cached."""
         if self._vectors64 is None:
             v = self._vectors.astype(np.float64)
             v.setflags(write=False)
@@ -71,7 +71,7 @@ class Dataset:
 
 
 def squared_l2_distance(a, b) -> float:
-    """Squared Euclidean distance; the monotone surrogate used internally."""
+    """Squared Euclidean distance; l2_distance takes its square root."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:

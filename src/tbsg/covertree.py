@@ -34,8 +34,8 @@ class CoverTree:
     def __init__(self, dataset: Dataset, base: float = 2.0):
         if dataset.count < 1:
             raise ValueError("cover tree requires a non-empty dataset")
-        if base <= 1.0:
-            raise ValueError(f"base must be > 1, got {base}")
+        if not 1.0 < base < float("inf"):
+            raise ValueError(f"base must be finite and > 1, got {base}")
         self.dataset = dataset
         self.base = float(base)
         self.root = 0

@@ -61,12 +61,12 @@ class TbsgParams:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.mp < 0.5:
+        if not self.mp >= 0.5:
             raise ValueError(f"mp must be >= 0.5, got {self.mp}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.base <= 1.0:
-            raise ValueError(f"base must be > 1, got {self.base}")
+        if not 1.0 < self.base < float("inf"):
+            raise ValueError(f"base must be finite and > 1, got {self.base}")
         if self.r_mode not in ("dynamic", "static"):
             raise ValueError(f"unknown r_mode {self.r_mode!r}")
 

@@ -84,7 +84,7 @@ def write_ivecs(path: str | os.PathLike, lists) -> None:
         raise ValueError(f"ivecs records must share one length, got {sorted(lengths)}")
     payload = np.asarray(lists).reshape(len(lists), max(lengths, default=0))
     info = np.iinfo(np.int32)
-    bad = (payload < info.min) | (payload > info.max)
+    bad = (payload < info.min) | (payload > info.max) | (payload % 1 != 0)
     if bad.any():
         raise ValueError(f"ivecs value {payload[bad][0]} does not fit int32")
     _write_records(path, payload.astype("<i4"))

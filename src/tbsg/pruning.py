@@ -67,11 +67,11 @@ class TriangleGeom:
 
     def __post_init__(self):
         for name in ("d_se", "d_sv"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d_ve < 0:
+        if not self.d_ve >= 0:
             raise ValueError(f"d_ve must be non-negative, got {self.d_ve}")
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError(f"r must be positive, got {self.r}")
 
 
@@ -170,7 +170,7 @@ class StrategyParams:
 
     mp is the tbsg probability threshold; anything below 0.5 would never
     exclude beyond the rng precondition, so 0.5 is the floor (values above
-    1.0 are legal and disable all but clamp-saturated exclusions). alpha_t
+    1.0 are legal, and then the probability rule excludes nothing). alpha_t
     is the nssg angle threshold in radians, at most 60 degrees. In static
     r_mode, static_r[s] supplies the per-node radius; dynamic mode uses the
     candidate's own distance d_se.
@@ -186,7 +186,7 @@ class StrategyParams:
     def __post_init__(self):
         if self.strategy not in ("rng", "nssg", "tbsg"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.mp < 0.5:
+        if not self.mp >= 0.5:
             raise ValueError(f"mp must be >= 0.5, got {self.mp}")
         if not 0.0 < self.alpha_t <= math.pi / 3.0 + 1e-12:
             raise ValueError(f"alpha_t must be in (0, 60 degrees], got {self.alpha_t}")

@@ -154,14 +154,15 @@ class TestReportCsv:
             metadata={"dataset": "synth", "k": "10", "odd value": "a=b,c"},
         )
         path = tmp_path / "r.csv"
-        write_report_csv(report, path)
+        write_report_csv(report.rows, path, report.metadata)
         assert read_report_csv(path) == report  # floats round-trip via repr
 
     def test_rejects_non_report(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="not a benchmark report"):
-            read_report_csv(path)
+        for text in ("a,b,c\n1,2,3\n", "l,recall,qps,mean_distance_evals\n10,1.0,5.0\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a benchmark report"):
+                read_report_csv(path)
 
 
 class TestScalingExperiment:

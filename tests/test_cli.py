@@ -1,10 +1,33 @@
 """End-to-end CLI coverage: every subcommand through main() with real files."""
 
+import csv
+from dataclasses import fields
+
 import pytest
 
-from tbsg.bench import read_report_csv
+from tbsg import TriangleGeom, cli
+from tbsg.bench import ProbCheckRow, ScalingRow, read_report_csv
 from tbsg.cli import PROFILES, main
 from tbsg.io import read_fvecs
+
+
+def _capture(monkeypatch, name):
+    """Record what the CLI's call to bench function `name` returns."""
+    results = []
+    real = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, recording)
+    return results
+
+
+def _read_csv(path):
+    assert b"\r" not in path.read_bytes()
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +180,15 @@ class TestUsageErrors:
 
 
 class TestDataErrors:
+    def test_nan_mp_is_data_error(self, pipeline, tmp_path, capsys):
+        paths, _ = pipeline
+        code = main([
+            "build", "--data", paths["data"], "--out", str(tmp_path / "nan.tbsg"),
+            "--K", "8", "--m", "6", "--mp", "nan",
+        ])
+        assert code == 1
+        assert "mp must be" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main([
             "groundtruth", "--data", str(tmp_path / "absent.fvecs"),
@@ -177,7 +209,8 @@ class TestDataErrors:
 
 
 class TestProbCheck:
-    def test_bounds_hold_and_csv_written(self, tmp_path, capsys):
+    def test_bounds_hold_and_csv_written(self, tmp_path, capsys, monkeypatch):
+        results = _capture(monkeypatch, "prob_check")
         csv_path = tmp_path / "prob.csv"
         code = main([
             "prob-check", "--dims", "2", "--samples", "10000", "--csv", str(csv_path),
@@ -187,6 +220,19 @@ class TestProbCheck:
         assert "all bounds hold: yes" in out
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",")[:5] == ["d_se", "d_sv", "d_ve", "r", "dim"]
+        # TriangleGeom's fields stand in place of geom; every cell is exact.
+        header, *body = _read_csv(csv_path)
+        names = [f.name for f in fields(ProbCheckRow)]
+        assert names[0] == "geom"
+        assert header == [f.name for f in fields(TriangleGeom)] + names[1:]
+        rows = results[0].rows
+        assert len(body) == len(rows) > 0
+        for cells, row in zip(body, rows):
+            g = row.geom
+            assert [float(c) for c in cells[:4]] == [g.d_se, g.d_sv, g.d_ve, g.r]
+            assert int(cells[4]) == row.dim
+            assert [float(c) for c in cells[5:8]] == [row.min_prob, row.estimate, row.std_error]
+            assert cells[8] == str(row.bound_ok)
 
     def test_too_few_samples_is_data_error(self, capsys):
         assert main(["prob-check", "--samples", "100"]) == 1
@@ -204,8 +250,9 @@ class TestScale:
         assert code == 0
         assert "exponent" not in out
 
-    def test_three_sizes_prints_exponents(self, pipeline, tmp_path, capsys):
+    def test_three_sizes_prints_exponents(self, pipeline, tmp_path, capsys, monkeypatch):
         paths, _ = pipeline
+        results = _capture(monkeypatch, "scaling_experiment")
         csv_path = tmp_path / "scale.csv"
         code = main([
             "scale", "--data", paths["data"], "--sizes", "100,200,400",
@@ -216,6 +263,11 @@ class TestScale:
         assert code == 0
         assert "build-time exponent" in out
         assert csv_path.read_text().splitlines()[0] == "n,build_seconds,mean_distance_evals"
+        header, *body = _read_csv(csv_path)
+        assert header == [f.name for f in fields(ScalingRow)]
+        assert [[int(n), float(t), float(e)] for n, t, e in body] == [
+            [r.n, r.build_seconds, r.mean_distance_evals] for r in results[0].rows
+        ]
 
 
 class TestProfiles:

@@ -197,6 +197,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="base"):
             build_cover_tree(ds, base=1.0)
 
+    @pytest.mark.parametrize("base", [float("nan"), float("inf")])
+    def test_nan_or_infinite_base_rejected(self, base):
+        with pytest.raises(ValueError, match="finite"):
+            CoverTree(generate_synthetic(5, 2, seed=0), base=base)
+
     def test_invariants_on_random_data(self):
         ds = generate_synthetic(1000, 8, clusters=3, spread=0.6, seed=4)
         check_invariants(build_cover_tree(ds, seed=1), ds)

@@ -42,6 +42,13 @@ class TestParams:
             with pytest.raises(ValueError):
                 TbsgParams(**bad)
 
+    @pytest.mark.parametrize(
+        "name,value", [("mp", float("nan")), ("base", float("nan")), ("base", float("inf"))]
+    )
+    def test_tbsg_params_reject_nan_and_infinity(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TbsgParams(**{name: value})
+
     def test_search_params_validation(self):
         with pytest.raises(ValueError):
             SearchParams(l=5, k=6)

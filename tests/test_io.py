@@ -104,6 +104,11 @@ class TestIvecsRoundTrip:
         with pytest.raises(ValueError, match="does not fit int32"):
             write_ivecs(tmp_path / "w.ivecs", rows)
 
+    @pytest.mark.parametrize("rows", [[[1.5, 2.7]], np.array([[3.0, -0.25]]), [[np.nan]]])
+    def test_fractions_rejected(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="does not fit int32"):
+            write_ivecs(tmp_path / "f.ivecs", rows)
+
     def test_ragged_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="share one length"):
             write_ivecs(tmp_path / "r.ivecs", [[1, 2], [3]])

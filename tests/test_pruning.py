@@ -111,6 +111,13 @@ class TestMinProb:
         with pytest.raises(ValueError, match="r"):
             TriangleGeom(1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("side", range(4))
+    def test_nan_side_rejected(self, side):
+        sides = [1.0, 1.0, 1.0, 1.0]
+        sides[side] = math.nan
+        with pytest.raises(ValueError, match="must be"):
+            TriangleGeom(*sides)
+
 
 class TestMonteCarloProb:
     def test_whole_ball_on_neighbor_side(self):
@@ -176,6 +183,10 @@ class TestStrategyParams:
             StrategyParams(r_mode="adaptive")
         with pytest.raises(ValueError, match="static_r"):
             StrategyParams(r_mode="static")
+
+    def test_nan_mp_rejected(self):
+        with pytest.raises(ValueError, match="mp"):
+            StrategyParams(mp=math.nan)
 
     def test_mp_above_one_is_legal(self):
         assert StrategyParams(mp=1.0 + 1e-9).mp > 1.0
