@@ -1,0 +1,122 @@
+"""Print the median seconds of each build_tbsg stage over several builds.
+
+    python3 scripts/stage_times.py [--builds 5] [--sets desk,c09-16k]
+
+The stages are the cover tree, the exact KNNG, the reverse edges (which
+also merge in the tree edges) and pruning, each timed by wrapping the name
+tbsg.index calls it by; "other" is the rest of build_tbsg. The sets are the
+perfbench base sets (perfbench/workloads.py, read only) with each
+workload's build profile, and the 2k and 16k prefixes of criterion 09's set
+(generate_synthetic(16000, 16, clusters=1, spread=1.0, seed=7), K=m=20,
+seed 3). The first line names the machine, since seconds depend on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+import tbsg.index  # noqa: E402
+from tbsg import Dataset, TbsgParams, build_tbsg, generate_synthetic  # noqa: E402
+
+STAGES = {
+    "build_cover_tree": "cover_tree",
+    "build_knng": "knng",
+    "add_reverse_edges": "reverse",
+    "_select_from_arrays": "pruning",
+}
+
+
+def machine() -> str:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # older NumPy: no dict mode
+        blas = "unknown BLAS"
+    return (
+        f"{os.cpu_count()} cores, {cpu}, Python {platform.python_version()}, "
+        f"NumPy {np.__version__} / {blas}"
+    )
+
+
+def sets() -> dict:
+    """name -> (dataset, build params)."""
+    out = {}
+    for name, wl in WORKLOADS.items():
+        out[name] = (Dataset(wl.make(seed=0)[0]), TbsgParams(**wl.build_params()))
+    c09 = generate_synthetic(16_000, 16, clusters=1, spread=1.0, seed=7).vectors
+    for n in (2000, 16_000):
+        out[f"c09-{n // 1000}k"] = (Dataset(c09[:n]), TbsgParams(K=20, m=20, seed=3))
+    return out
+
+
+def timed_build(dataset: Dataset, params: TbsgParams) -> dict:
+    """One build's seconds per stage, "other" and "total" included."""
+    spent = dict.fromkeys(STAGES.values(), 0.0)
+    real = {name: getattr(tbsg.index, name) for name in STAGES}
+
+    def wrap(name):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return real[name](*args, **kwargs)
+            finally:
+                spent[STAGES[name]] += time.perf_counter() - t0
+
+        return timed
+
+    for name in STAGES:
+        setattr(tbsg.index, name, wrap(name))
+    try:
+        t0 = time.perf_counter()
+        build_tbsg(dataset, params)
+        total = time.perf_counter() - t0
+    finally:
+        for name, fn in real.items():
+            setattr(tbsg.index, name, fn)
+    spent["other"] = total - sum(spent.values())
+    spent["total"] = total
+    return spent
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--builds", type=int, default=5, help="builds per set (default 5)")
+    parser.add_argument("--sets", default=None, help="comma-separated set names (default all)")
+    args = parser.parse_args()
+    if args.builds < 1:
+        parser.error("--builds must be >= 1")
+    available = sets()
+    names = args.sets.split(",") if args.sets else list(available)
+    unknown = [name for name in names if name not in available]
+    if unknown:
+        parser.error(f"unknown set(s) {unknown}; choose from {list(available)}")
+    print(f"# {machine()}; median of {args.builds} builds, seconds")
+    columns = list(STAGES.values()) + ["other", "total"]
+    print(f"{'set':<10}" + "".join(f"{c:>11}" for c in columns))
+    for name in names:
+        runs = [timed_build(*available[name]) for _ in range(args.builds)]
+        medians = [statistics.median(r[c] for r in runs) for c in columns]
+        print(f"{name:<10}" + "".join(f"{m:>11.4f}" for m in medians), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,11 @@ import numpy as np
 
 __all__ = ["Dataset", "l2_distance", "squared_l2_distance"]
 
+# float64 values (512 KB) per block of batch-distance work, so that each
+# block's gathered rows and their difference stay in a 2 MiB L2 cache:
+# pairwise_distances' pair chunks and the exact KNNG's re-rank tiles.
+_BLOCK_VALUES = 1 << 16
+
 
 class Dataset:
     """Immutable n x d matrix of float32 vectors with row index as point id.
@@ -125,8 +130,7 @@ def pairwise_distances(dataset: Dataset, left_ids, right_ids) -> np.ndarray:
     their difference."""
     x = dataset.vectors64
     out = np.empty(len(left_ids), dtype=np.float64)
-    # About 4M gathered values (32 MB) per operand at any dim.
-    chunk = max(1, (1 << 22) // max(dataset.dim, 1))
+    chunk = max(1, _BLOCK_VALUES // max(dataset.dim, 1))
     for i in range(0, out.size, chunk):
         diff = x.take(left_ids[i : i + chunk], axis=0)
         diff -= x.take(right_ids[i : i + chunk], axis=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, l2_batch, pairwise_distances
+from .core import _BLOCK_VALUES, Dataset, l2_batch, pairwise_distances
 
 __all__ = [
     "KnnGraph",
@@ -49,9 +49,10 @@ _SHARD_ENTRIES = 4_000_000
 
 # Extra shortlist entries the exact top-k re-ranks beyond k, so that a row
 # falls back to its full scan only when distances tie (or nearly) across
-# this many places at its k-th neighbor. 15 keeps the KNNG's shortlist, of
-# k_eff + 1 with each point's own, at k_eff + 16: one wider slowed sift128's
-# K=100 KNNG from 68 to 80 ms (median of solo runs, 2-core Xeon).
+# this many places at its k-th neighbor. The KNNG's shortlist, of k_eff + 1
+# with each point's own, is k_eff + 16 wide; with the re-rank tiled, widths
+# 114-120 at sift128's K=100 shape took the same time (22-31 ms, median of
+# five, 2-core Xeon).
 _SHORTLIST_PAD = 15
 
 # The sampled-threshold shortlist (_shortlist): from _THRESHOLD_FROM points
@@ -138,12 +139,20 @@ def _dense_rank(a: np.ndarray) -> np.ndarray:
 
 
 def _ranked_topk(
-    q: np.ndarray, xc: np.ndarray, cand: np.ndarray, k: int
+    q: np.ndarray, x: np.ndarray, cand: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k best (id, distance) per query row among its candidates, ordered
-    by (l2_batch distance, id): cand holds the ids, ascending along each row,
-    and xc their rows (or the whole dataset broadcast)."""
-    d = l2_batch(q[:, None, :], xc)
+    by (l2_batch distance, id): cand holds row ids of x, ascending along
+    each row; rows holding all of x's ids read x in place.
+
+    The distances are filled in tiles of about _BLOCK_VALUES gathered
+    values, so each tile's rows and their difference stay in cache."""
+    rows, width = cand.shape
+    d = np.empty((rows, width), dtype=np.float64)
+    step = max(1, _BLOCK_VALUES // max(width * x.shape[1], 1))
+    for i in range(0, rows, step):
+        xc = x[None] if width == x.shape[0] else x[cand[i : i + step]]
+        d[i : i + step] = l2_batch(q[i : i + step, None, :], xc)
     # Stable, so equal distances keep cand's ascending id order.
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d, order, axis=1)
@@ -237,9 +246,9 @@ def _exact_topk(
     # their expansions from a matmul of their own.
     xs = xa[:: max(1, n // _SAMPLE_COLUMNS)].T.copy() if n >= _THRESHOLD_FROM else None
     # About 1M expansion values (8 MB) per block: measured fastest at n=10k,
-    # d=16, as larger blocks leave the cache for argpartition.
-    block = max(1, (1 << 20) // max(n, width * dim))
-    full_block = max(1, (1 << 22) // (n * max(dim, 1)))
+    # d=16, as larger blocks leave the cache for argpartition. The re-rank
+    # tiles its own rows, so the block need not shrink with width * dim.
+    block = max(1, (1 << 20) // n)
     g_buf = np.empty((min(block, nq), n), dtype=np.float64)
     for start in range(0, nq, block):
         stop = min(start + block, nq)
@@ -253,15 +262,14 @@ def _exact_topk(
             # fifth more time at 16k points.
             g = np.matmul(qa, xa.T, out=g_buf[: stop - start])
             cand, left_out = _shortlist(g, width, None if xs is None else qa @ xs)
-            ids[start:stop], dists[start:stop] = _ranked_topk(q, x[cand], cand, k)
+            ids[start:stop], dists[start:stop] = _ranked_topk(q, x, cand, k)
             q_sq = np.einsum("ij,ij->i", q, q)
             left_out += q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2
             safe = left_out * (1.0 - slack) > dists[start:stop, -1] ** 2 * (1.0 + slack)
             full = start + np.flatnonzero(~safe)
-        for f0 in range(0, full.size, full_block):
-            r = full[f0 : f0 + full_block]
-            cand = np.broadcast_to(np.arange(n), (r.size, n))
-            ids[r], dists[r] = _ranked_topk(queries64[r], x[None, :, :], cand, k)
+        if full.size:
+            cand = np.broadcast_to(np.arange(n), (full.size, n))
+            ids[full], dists[full] = _ranked_topk(queries64[full], x, cand, k)
     return ids, dists
 
 

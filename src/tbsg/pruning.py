@@ -37,16 +37,18 @@ __all__ = [
 # candidate sitting numerically on the boundary is excluded consistently.
 _COS_SLACK = 1e-9
 
-# Gathered float64 values (candidates x dim) per chunk of nodes pruned in
-# lock-step, which bounds each round's pair gathers. _select_from_arrays on
-# the perfbench base sets and the 16k x 16 criterion-09 set (K=m=20), two
-# passes of median of five, 2-core Xeon, Python 3.11.7, NumPy 2.4.6, for
-# 2^14 / 2^16 / 2^18 / 2^20 / 2^22 values: desk 397-402 / 167-172 / 100-104
-# / 98-113 / 106-122 ms, search32 152-157 / 71-74 / 57 / 59-62 / 59-61 ms,
-# sift128 647-649 / 337-346 / 193-208 / 130-176 / 191-201 ms, 16k
-# 1072-1403 / 461-823 / 468-663 / 587-789 / 653-899 ms. 2^20 wins on
-# sift128 alone.
-_CHUNK_VALUES = 1 << 18
+# Candidates per chunk of nodes pruned in lock-step, at any dim: each round
+# measures a chunk's pairs in one pairwise_distances call, which gathers
+# them in cache-sized blocks, so a larger chunk makes fewer rounds at no
+# more traffic per pair. _select_from_arrays on the pools of the perfbench
+# base sets and criterion 09's 2k and 16k prefixes, two passes of median of
+# five (2-core Xeon, Python 3.11.7, NumPy 2.4.6 / OpenBLAS), for 2^12 /
+# 2^14 / 2^16 / 2^18 / 2^20 candidates: desk 91-158 / 56-90 / 52-72 /
+# 46-70 / 44-67 ms, search32 30-51 / 25-41 / 25-36 / 25-37 / 26-38 ms,
+# sift128 77-132 / 89-98 / 81-84 / 77-86 / 82-86 ms, 2k 59-66 / 39-50 /
+# 34-43 / 32-44 / 39-45 ms, 16k 469-671 / 429-474 / 446-477 / 435-469 /
+# 411-428 ms. From 2^16 on the times are flat.
+_CHUNK_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -227,14 +229,13 @@ def _select_from_arrays(
     ascending and each node's kept ids stay in distance order.
     """
     n = offsets.shape[0] - 1
-    per_chunk = max(1, _CHUNK_VALUES // max(dataset.dim, 1))
     if params.strategy == "nssg":
         cos_threshold = math.cos(params.alpha_t) - _COS_SLACK
     kept = np.zeros(cand_ids.shape[0], dtype=bool)
     lo = 0
     while lo < n:
-        # Whole nodes, at least one, of at most per_chunk candidates together.
-        hi = int(np.searchsorted(offsets, offsets[lo] + per_chunk, side="right")) - 1
+        # Whole nodes, at least one, of at most _CHUNK_CANDIDATES together.
+        hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_CANDIDATES, side="right")) - 1
         hi = max(hi, lo + 1)
         start, stop = offsets[lo], offsets[hi]
         ids, d, chunk_kept = cand_ids[start:stop], cand_d[start:stop], kept[start:stop]

@@ -168,7 +168,7 @@ class TestBatchKernels:
         assert batch[1] == 0.0 and batch[3] == 0.0
 
     def test_pairwise_across_chunks_matches_scalar_bitwise(self):
-        # At dim 1024 a chunk holds 4096 pairs, so 4500 pairs span two.
+        # At dim 1024 a chunk holds 64 pairs, so 4500 pairs span 71.
         rng = np.random.default_rng(7)
         x = Dataset(rng.normal(size=(10, 1024))).vectors64
         left, right = rng.integers(0, 10, size=(2, 4500))

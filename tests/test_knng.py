@@ -157,6 +157,38 @@ class TestExactTopk:
             assert np.array_equal(got.dists, want[1])
             assert sum(scanned) == full_rows
 
+    def test_tiled_rerank_matches_literal_full_scan(self, monkeypatch):
+        # At 128-d and K=100 the KNNG's shortlist is 116 wide, so a re-rank
+        # tile holds 65536 // (116 * 128) = 4 rows, and a full-scan tile one
+        # row of 300. In "tied" 121 rows are copies of point 0: rows whose
+        # shortlist boundary falls among those copies (theirs and those of
+        # the points near them) take the full scan, the others do not.
+        tiles = []
+        real = knng_module.l2_batch
+
+        def spy(a, b):
+            tiles.append((a.shape[0], b.shape[1]))
+            return real(a, b)
+
+        monkeypatch.setattr(knng_module, "l2_batch", spy)
+        gaussian = _topk_inputs("gaussian", 300, 128, seed=4)[0]
+        tied = gaussian.copy()
+        tied[1:240:2] = tied[0]
+        duplicates = _topk_inputs("duplicates", 300, 128, seed=4)[0]
+        for rows, fallback in ((gaussian, False), (duplicates, False), (tied, True)):
+            ds = Dataset(rows)
+            x = ds.vectors64
+            tiles.clear()
+            got = build_exact_knng(ds, 100)
+            want = literal_topk(x, x, 100, True)
+            assert np.array_equal(got.ids, want[0])
+            assert np.array_equal(got.dists, want[1])
+            short = [r for r, width in tiles if width == 116]
+            assert short == [4] * 75
+            full = [r for r, width in tiles if width == 300]
+            assert set(full) <= {1}
+            assert (0 < len(full) < 300) if fallback else not full
+
 
 def _large_topk_inputs(kind, n, dim):
     """float32 data for the sampled-threshold shortlist, which acts from

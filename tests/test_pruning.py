@@ -384,18 +384,18 @@ class TestChunkBudget:
         ds = Dataset(np.concatenate([rows, rows[::3]]))
         params = TbsgParams(K=30, m=20, r_mode=r_mode)
         builds = []
-        for values in (1, 200 * dim, 1 << 40):
-            monkeypatch.setattr(tbsg.pruning, "_CHUNK_VALUES", values)
+        for candidates in (1, 200, 1 << 40):
+            monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
             builds.append(build_tbsg(ds, params))
         assert builds[0] == builds[1] == builds[2]
         assert builds[0].neighbors.size > ds.count
 
-    @pytest.mark.parametrize("values", [1, 1 << 10, 1 << 40])
-    def test_every_node_matches_literal_reference(self, monkeypatch, values):
+    @pytest.mark.parametrize("candidates", [1, 128, 1 << 40])
+    def test_every_node_matches_literal_reference(self, monkeypatch, candidates):
         # Many nodes' pools in one CSR pair, some empty and some opening
         # with duplicates of their node, pruned at once: each node keeps what
         # the literal per-node scan keeps, whichever chunks the budget forms.
-        monkeypatch.setattr(tbsg.pruning, "_CHUNK_VALUES", values)
+        monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
         rng = np.random.default_rng(13)
         rows = generate_synthetic(60, 8, clusters=2, spread=1.0, seed=5).vectors
         ds = Dataset(np.concatenate([rows, rows[:20]]))
@@ -432,13 +432,13 @@ class TestChunkBudget:
 
 class TestRounds:
     @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("values,chunks", [(1 << 40, 1), (2000 * 8, 3)])
-    def test_round_m_measures_nothing(self, monkeypatch, m, values, chunks):
+    @pytest.mark.parametrize("candidates,chunks", [(1 << 40, 1), (2000, 3)])
+    def test_round_m_measures_nothing(self, monkeypatch, m, candidates, chunks):
         # Every node alive in round r has kept r - 1 neighbours, so round m
         # keeps each node's first alive candidate without measuring it
         # against the rest: at m = 1 no pair distance is computed, and a
         # chunk whose nodes reach m makes at most m - 1 pairwise_distances
-        # calls. 2000 * 8 values make chunks of 100 nodes of 20 candidates.
+        # calls. 2000 candidates make chunks of 100 nodes of 20 candidates.
         ds = generate_synthetic(300, 8, clusters=2, spread=1.0, seed=3)
         kg = build_knng(ds, 20, exact=True)
         offsets = np.arange(0, kg.ids.size + 1, 20)
@@ -449,7 +449,7 @@ class TestRounds:
             return pairwise_distances(dataset, a, b)
 
         monkeypatch.setattr(tbsg.pruning, "pairwise_distances", spy)
-        monkeypatch.setattr(tbsg.pruning, "_CHUNK_VALUES", values)
+        monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
         params = StrategyParams(strategy="rng", m=m)
         kept = tbsg.pruning._select_from_arrays(
             offsets, kg.ids.ravel(), kg.dists.ravel(), params, ds
