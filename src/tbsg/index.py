@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import struct
-from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -364,7 +363,7 @@ def load_index(path) -> TbsgIndex:
     # (zero-copy on little-endian hosts) instead of converting every word.
     flat = memoryview(words.astype(np.uint32, copy=False))
     size = len(flat)
-    heads = array("q")
+    heads = []
     pos = 0
     for u in range(n):
         if pos >= size:
@@ -375,16 +374,13 @@ def load_index(path) -> TbsgIndex:
             raise FormatError(f"{path}: truncated neighbor list at node {u}")
     if pos != size:
         raise FormatError(f"{path}: {4 * (size - pos)} trailing bytes")
-    heads = np.frombuffer(heads, dtype=np.int64)
     degrees = words[heads]
     if degrees.max() > m:
         u = int(np.argmax(degrees > m))
         raise FormatError(f"{path}: node {u} holds {int(degrees[u])} ids, more than m={m}")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    is_id = np.ones(size, dtype=bool)
-    is_id[heads] = False
-    neighbors = words[is_id].astype(np.int64)
+    neighbors = np.delete(words, heads).astype(np.int64)
     try:
         return TbsgIndex(n, m, ep, offsets=offsets, neighbors=neighbors)
     except ValueError as exc:

@@ -51,7 +51,7 @@ _SHARD_ENTRIES = 4_000_000
 # falls back to its full scan only when distances tie (or nearly) across
 # this many places at its k-th neighbor. The KNNG's shortlist, of k_eff + 1
 # with each point's own, is k_eff + 16 wide; with the re-rank tiled, widths
-# 114-120 at sift128's K=100 shape took the same time (22-31 ms, median of
+# 114-120 at sift128's K=100 shape took the same time (21-31 ms, median of
 # five, 2-core Xeon).
 _SHORTLIST_PAD = 15
 
@@ -191,7 +191,7 @@ def _shortlist(
                 row = (np.cumsum(ok) - 1)[row]
             counts = counts[ok]
             slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[row]
-            vals = np.full((counts.size, counts.max()), np.inf)
+            vals = np.full((counts.size, counts.max()), np.inf, dtype=g.dtype)
             cols = np.zeros(vals.shape, dtype=np.int64)
             vals[row, slot] = g.ravel()[flat]
             cols[row, slot] = col
@@ -216,57 +216,78 @@ def _exact_topk(
 
     The result is that of ranking a full row of l2_batch distances by
     (distance, id), bit for bit, but mostly only a shortlist is ranked: per
-    block of queries one matmul of [q, 1] against [-2x, |x|^2] gives the
-    norm expansion |x|^2 - 2 q.x of every squared distance less |q|^2,
-    _shortlist keeps the k + _SHORTLIST_PAD smallest, and l2_batch re-ranks
-    those. A row whose k-th re-ranked squared distance is not below the
-    smallest expansion left out by more than the rounding bound below (ties
-    at the boundary included) is ranked over its full row instead.
+    block of queries one matmul of [q, 1] against [-2x, |x|^2], both centred
+    on x's mean, gives the norm expansion |x|^2 - 2 q.x of every squared
+    distance less |q|^2, _shortlist keeps the k + _SHORTLIST_PAD smallest,
+    and l2_batch re-ranks those. A row whose k-th re-ranked squared distance
+    is not below the smallest expansion left out by more than the rounding
+    bound below (ties at the boundary included) is ranked over its full row
+    instead. The matmul runs in float32, about twice as fast, until a row
+    fails the float32 bound: its block is redone in float64, and so is every
+    later block, so data too tight for float32 pay one extra block, not a
+    full scan per row.
     """
     n, dim = x.shape
     nq = queries64.shape[0]
     ids = np.empty((nq, k), dtype=np.int64)
     dists = np.empty((nq, k), dtype=np.float64)
     width = k + _SHORTLIST_PAD
-    # Rounding bound, u the unit roundoff. A float64 dot product over dim + 1
-    # terms, norms included, errs by at most (dim + 1)*u/(1 - (dim + 1)*u)
-    # times the sum of its absolute products in any summation order, so an
-    # expansion is within slack*(|q| + max|x|)^2 of the exact squared
-    # distance t; adding |q|^2 fits in slack's surplus. A left-out point's
-    # l2_batch distance squares to at least t*(1 - slack) (difference,
-    # square and sum each round), and the k-th re-ranked value times
-    # (1 + slack) covers its own rounding and keeps the two apart after sqrt.
-    slack = 2.0 * (dim + 8) * np.finfo(np.float64).eps
-    # -2x scales exactly, so the matmul's last column adds |x|^2 to -2 q.x.
-    xa = np.empty((n, dim + 1), dtype=np.float64)
-    np.multiply(x, -2.0, out=xa[:, :dim])
-    xa[:, dim] = np.einsum("ij,ij->i", x, x)
-    x_reach = float(np.sqrt(xa[:, dim].max()))
-    # The sampled cut's columns: about _SAMPLE_COLUMNS evenly strided ones,
-    # their expansions from a matmul of their own.
-    xs = xa[:: max(1, n // _SAMPLE_COLUMNS)].T.copy() if n >= _THRESHOLD_FROM else None
-    # About 1M expansion values (8 MB) per block: measured fastest at n=10k,
-    # d=16, as larger blocks leave the cache for argpartition. The re-rank
-    # tiles its own rows, so the block need not shrink with width * dim.
+    # Centring on x's mean moves no distance and shrinks (|q| + max|x|)^2
+    # in the bound below to the data's own spread, wherever the data sit.
+    mean = x.mean(axis=0)
+    xm = x - mean
+    qm = xm if queries64 is x else queries64 - mean
+    x_sq = np.einsum("ij,ij->i", xm, xm)
+    q_sq = np.einsum("ij,ij->i", qm, qm)
+    reach = np.sqrt(q_sq) + float(np.sqrt(x_sq.max()))
+    # Rounding bound, u the unit roundoff of the matmul's type. A dot
+    # product over dim + 1 terms, norms included, errs by at most
+    # (dim + 1)*u/(1 - (dim + 1)*u) times the sum of its absolute products
+    # in any summation order; rounding the centred rows and |x|^2 adds at
+    # most (dim + 4)*u more. So an expansion is within slack*(|q| + max|x|)^2
+    # of the exact squared distance t; adding |q|^2 fits in slack's
+    # surplus. A left-out point's l2_batch distance squares to at least
+    # t*(1 - slack) (difference, square and sum each round), and the k-th
+    # re-ranked value times (1 + slack) covers its own rounding and keeps
+    # the two apart after sqrt. float32 keeps the bound only while every
+    # product stays a normal number, so it is taken for centred norms
+    # between 2^-40 and 2^40.
+    # About 1M expansion values per block: measured fastest at n=10k, d=16,
+    # as larger blocks leave the cache for argpartition. The re-rank tiles
+    # its own rows, so the block need not shrink with width * dim.
     block = max(1, (1 << 20) // n)
-    g_buf = np.empty((min(block, nq), n), dtype=np.float64)
+
+    def operands(dtype):
+        xa = np.empty((n, dim + 1), dtype=dtype)
+        np.multiply(xm, -2.0, out=xa[:, :dim], casting="same_kind")
+        xa[:, dim] = x_sq
+        # The sampled cut's columns: about _SAMPLE_COLUMNS evenly strided
+        # ones, their expansions from a matmul of their own.
+        xs = xa[:: max(1, n // _SAMPLE_COLUMNS)].T.copy() if n >= _THRESHOLD_FROM else None
+        # One result buffer: a fresh 8 MB float64 result per block cost
+        # about a fifth more time at 16k points.
+        g_buf = np.empty((min(block, nq), n), dtype=dtype)
+        return xa, xs, g_buf, 2.0 * (dim + 8) * float(np.finfo(dtype).eps)
+
+    dtype = np.float32 if nq and 2.0**-40 < reach.max() < 2.0**40 else np.float64
+    xa, xs, g_buf, slack = operands(dtype)
     for start in range(0, nq, block):
         stop = min(start + block, nq)
-        if width >= n:
-            full = np.arange(start, stop)
-        else:
+        full = np.arange(start, stop)
+        while width < n:
             q = queries64[start:stop]
-            qa = np.ones((stop - start, dim + 1), dtype=np.float64)
-            qa[:, :dim] = q
-            # Into one buffer: a fresh 8 MB result per block cost about a
-            # fifth more time at 16k points.
+            qa = np.ones((stop - start, dim + 1), dtype=dtype)
+            qa[:, :dim] = qm[start:stop]
             g = np.matmul(qa, xa.T, out=g_buf[: stop - start])
             cand, left_out = _shortlist(g, width, None if xs is None else qa @ xs)
             ids[start:stop], dists[start:stop] = _ranked_topk(q, x, cand, k)
-            q_sq = np.einsum("ij,ij->i", q, q)
-            left_out += q_sq - slack * (np.sqrt(q_sq) + x_reach) ** 2
+            left_out += q_sq[start:stop] - slack * reach[start:stop] ** 2
             safe = left_out * (1.0 - slack) > dists[start:stop, -1] ** 2 * (1.0 + slack)
             full = start + np.flatnonzero(~safe)
+            if dtype == np.float64 or not full.size:
+                break
+            dtype = np.float64
+            xa, xs, g_buf, slack = operands(dtype)
         if full.size:
             cand = np.broadcast_to(np.arange(n), (full.size, n))
             ids[full], dists[full] = _ranked_topk(queries64[full], x, cand, k)

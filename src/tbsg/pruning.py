@@ -41,14 +41,14 @@ _COS_SLACK = 1e-9
 # measures a chunk's pairs in one pairwise_distances call, which gathers
 # them in cache-sized blocks, so a larger chunk makes fewer rounds at no
 # more traffic per pair. _select_from_arrays on the pools of the perfbench
-# base sets and criterion 09's 2k and 16k prefixes, two passes of median of
-# five (2-core Xeon, Python 3.11.7, NumPy 2.4.6 / OpenBLAS), for 2^12 /
-# 2^14 / 2^16 / 2^18 / 2^20 candidates: desk 91-158 / 56-90 / 52-72 /
-# 46-70 / 44-67 ms, search32 30-51 / 25-41 / 25-36 / 25-37 / 26-38 ms,
-# sift128 77-132 / 89-98 / 81-84 / 77-86 / 82-86 ms, 2k 59-66 / 39-50 /
-# 34-43 / 32-44 / 39-45 ms, 16k 469-671 / 429-474 / 446-477 / 435-469 /
-# 411-428 ms. From 2^16 on the times are flat.
-_CHUNK_CANDIDATES = 1 << 16
+# base sets and criterion 09's 2k and 16k prefixes (2-core Xeon, Python
+# 3.11.7, NumPy 2.4.6 / OpenBLAS), median of five per pass, for 2^16 / 2^18
+# / 2^20 candidates over three passes: desk 61-69 / 62-72 / 68-69 ms,
+# search32 35-38 / 32-37 / 33-40 ms, sift128 86-88 / 84-89 / 68-91 ms, 2k
+# 45-47 / 40-46 / 39-47 ms, 16k 455-516 / 445-517 / 436-493 ms. The first
+# four are flat from 2^16 on; the 16k prefix, whose 517k candidates 2^20
+# holds in one chunk, gains a few percent up to 2^20.
+_CHUNK_CANDIDATES = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,9 @@ class TestExactTopk:
         # tile holds 65536 // (116 * 128) = 4 rows, and a full-scan tile one
         # row of 300. In "tied" 121 rows are copies of point 0: rows whose
         # shortlist boundary falls among those copies (theirs and those of
-        # the points near them) take the full scan, the others do not.
+        # the points near them) fail the float32 bound, so its one block is
+        # re-ranked twice, in float32 and in float64, and some of its rows,
+        # not all, then take the full scan.
         tiles = []
         real = knng_module.l2_batch
 
@@ -184,10 +186,37 @@ class TestExactTopk:
             assert np.array_equal(got.ids, want[0])
             assert np.array_equal(got.dists, want[1])
             short = [r for r, width in tiles if width == 116]
-            assert short == [4] * 75
+            assert short == [4] * 75 * (2 if fallback else 1)
             full = [r for r, width in tiles if width == 300]
             assert set(full) <= {1}
             assert (0 < len(full) < 300) if fallback else not full
+
+    def test_float32_expansion_and_its_way_back(self, monkeypatch):
+        # n = 2000 makes four blocks of 524 query rows. Far from the origin,
+        # centring keeps every block in float32. Clusters of 50 points with
+        # spread 0.005 leave gaps below the float32 bound: the first block
+        # is redone in float64, and every later one runs in float64.
+        kinds = []
+        real = knng_module._shortlist
+
+        def spy(g, width, sample):
+            kinds.append(g.dtype.name)
+            return real(g, width, sample)
+
+        monkeypatch.setattr(knng_module, "_shortlist", spy)
+        offset = Dataset(_topk_inputs("offset", 2000, 16, seed=6)[0])
+        tight = generate_synthetic(2000, 16, clusters=40, spread=0.005, seed=0)
+        for ds, want_kinds in (
+            (offset, ["float32"] * 4),
+            (tight, ["float32"] + ["float64"] * 4),
+        ):
+            x = ds.vectors64
+            kinds.clear()
+            got = build_exact_knng(ds, 20)
+            want = literal_topk(x, x, 20, True)
+            assert np.array_equal(got.ids, want[0])
+            assert np.array_equal(got.dists, want[1])
+            assert kinds == want_kinds
 
 
 def _large_topk_inputs(kind, n, dim):
