@@ -1,10 +1,13 @@
-"""Print the median seconds of each build_tbsg stage over several builds.
+"""Print the median seconds of each build_tbsg stage over several builds,
+and the median milliseconds of saving and loading the index built.
 
     python3 scripts/stage_times.py [--builds 5] [--sets desk,c09-16k]
 
 The stages are the cover tree, the exact KNNG, the reverse edges (which
 also merge in the tree edges) and pruning, each timed by wrapping the name
-tbsg.index calls it by; "other" is the rest of build_tbsg. The sets are the
+tbsg.index calls it by; "other" is the rest of build_tbsg. After each build,
+save_index writes the index to a temporary directory and load_index reads it
+back, each IO_REPEATS times; "save" and "load" are their medians. The sets are the
 perfbench base sets (perfbench/workloads.py, read only) with each
 workload's build profile, and the 2k and 16k prefixes of criterion 09's set
 (generate_synthetic(16000, 16, clusters=1, spread=1.0, seed=7), K=m=20,
@@ -18,6 +21,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,7 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 import tbsg.index  # noqa: E402
-from tbsg import Dataset, TbsgParams, build_tbsg, generate_synthetic  # noqa: E402
+from tbsg import Dataset, TbsgParams, build_tbsg, generate_synthetic, load_index, save_index  # noqa: E402
 
 STAGES = {
     "build_cover_tree": "cover_tree",
@@ -38,6 +42,7 @@ STAGES = {
     "add_reverse_edges": "reverse",
     "_select_from_arrays": "pruning",
 }
+IO_REPEATS = 20  # save_index and load_index calls per build; each takes about 0.1-1 ms
 
 
 def machine() -> str:
@@ -68,8 +73,10 @@ def sets() -> dict:
     return out
 
 
-def timed_build(dataset: Dataset, params: TbsgParams) -> dict:
-    """One build's seconds per stage, "other" and "total" included."""
+def timed_build(dataset: Dataset, params: TbsgParams, path: Path) -> dict:
+    """One build's seconds per stage, "other" and "total" included, and the
+    median milliseconds of save_index and load_index on the built index
+    through `path`."""
     spent = dict.fromkeys(STAGES.values(), 0.0)
     real = {name: getattr(tbsg.index, name) for name in STAGES}
 
@@ -87,13 +94,20 @@ def timed_build(dataset: Dataset, params: TbsgParams) -> dict:
         setattr(tbsg.index, name, wrap(name))
     try:
         t0 = time.perf_counter()
-        build_tbsg(dataset, params)
+        index = build_tbsg(dataset, params)
         total = time.perf_counter() - t0
     finally:
         for name, fn in real.items():
             setattr(tbsg.index, name, fn)
     spent["other"] = total - sum(spent.values())
     spent["total"] = total
+    for name, call in (("save", lambda: save_index(index, path)), ("load", lambda: load_index(path))):
+        took = []
+        for _ in range(IO_REPEATS):
+            t0 = time.perf_counter()
+            call()
+            took.append(time.perf_counter() - t0)
+        spent[name] = statistics.median(took) * 1e3
     return spent
 
 
@@ -109,13 +123,15 @@ def main() -> None:
     unknown = [name for name in names if name not in available]
     if unknown:
         parser.error(f"unknown set(s) {unknown}; choose from {list(available)}")
-    print(f"# {machine()}; median of {args.builds} builds, seconds")
-    columns = list(STAGES.values()) + ["other", "total"]
+    print(f"# {machine()}; median of {args.builds} builds; stages in seconds, save and load in ms")
+    columns = list(STAGES.values()) + ["other", "total", "save", "load"]
     print(f"{'set':<10}" + "".join(f"{c:>11}" for c in columns))
-    for name in names:
-        runs = [timed_build(*available[name]) for _ in range(args.builds)]
-        medians = [statistics.median(r[c] for r in runs) for c in columns]
-        print(f"{name:<10}" + "".join(f"{m:>11.4f}" for m in medians), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.tbsg"
+        for name in names:
+            runs = [timed_build(*available[name], path) for _ in range(args.builds)]
+            medians = [statistics.median(r[c] for r in runs) for c in columns]
+            print(f"{name:<10}" + "".join(f"{m:>11.4f}" for m in medians), flush=True)
 
 
 if __name__ == "__main__":

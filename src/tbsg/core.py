@@ -118,7 +118,10 @@ def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
     rows = dataset.vectors64 if ids is None else dataset.vectors64.take(ids, axis=0)
     if q.shape != (dataset.dim,) and q.shape != rows.shape:
         raise ValueError(f"query dimension {q.shape} does not match dataset dim {dataset.dim}")
-    return l2_batch(rows, q)
+    if ids is None:  # vectors64 is read-only
+        return l2_batch(rows, q)
+    rows -= q  # take's fresh rows: l2_batch's subtract, bit for bit, in place
+    return _norms(rows)
 
 
 def pairwise_distances(dataset: Dataset, left_ids, right_ids) -> np.ndarray:

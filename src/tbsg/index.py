@@ -259,9 +259,10 @@ def search_knn_with_stats(
     """
     if dataset.count != index.n:
         raise ValueError(f"dataset has {dataset.count} points, index has {index.n}")
-    q = np.asarray(query, dtype=np.float64).ravel()
-    if q.shape[0] != dataset.dim:
-        raise ValueError(f"query dim {q.shape[0]} does not match dataset dim {dataset.dim}")
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape not in ((dataset.dim,), (1, dataset.dim)):
+        raise ValueError(f"query shape {q.shape} does not match dataset dim {dataset.dim}")
+    q = q.ravel()
     if not np.isfinite(q).all():
         raise ValueError("query contains NaN or Inf values")
     offsets, neighbors, l = index.offsets, index.neighbors, sp.l
@@ -361,26 +362,35 @@ def load_index(path) -> TbsgIndex:
     # Degrees and ids interleave, so finding each node's degree word is a
     # sequential walk; it reads native-order words through a memoryview
     # (zero-copy on little-endian hosts) instead of converting every word.
+    # Each step only records a head and jumps past its list; running off the
+    # data at node u means u's head is missing (pos == size) or u - 1's list
+    # overflowed (pos > size).
     flat = memoryview(words.astype(np.uint32, copy=False))
     size = len(flat)
     heads = []
     pos = 0
-    for u in range(n):
-        if pos >= size:
-            raise FormatError(f"{path}: truncated at node {u}")
-        heads.append(pos)
-        pos += flat[pos] + 1
-        if pos > size:
-            raise FormatError(f"{path}: truncated neighbor list at node {u}")
+    try:
+        for u in range(n):
+            heads.append(pos)
+            pos += flat[pos] + 1
+    except IndexError:
+        if pos == size:
+            raise FormatError(f"{path}: truncated at node {u}") from None
+        raise FormatError(f"{path}: truncated neighbor list at node {u - 1}") from None
+    if pos > size:
+        raise FormatError(f"{path}: truncated neighbor list at node {n - 1}")
     if pos != size:
         raise FormatError(f"{path}: {4 * (size - pos)} trailing bytes")
+    heads = np.fromiter(heads, np.int64, count=n)
     degrees = words[heads]
     if degrees.max() > m:
         u = int(np.argmax(degrees > m))
         raise FormatError(f"{path}: node {u} holds {int(degrees[u])} ids, more than m={m}")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    neighbors = np.delete(words, heads).astype(np.int64)
+    is_id = np.ones(size, dtype=bool)
+    is_id[heads] = False
+    neighbors = words[is_id].astype(np.int64)
     try:
         return TbsgIndex(n, m, ep, offsets=offsets, neighbors=neighbors)
     except ValueError as exc:

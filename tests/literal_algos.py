@@ -7,13 +7,15 @@ loops, dicts, sets, and full re-sorts: no shared code paths with the library
 beyond the two scalar primitives (l2_distance, min_prob), which have their
 own dedicated tests. The exact top-k ranks every query's full row of
 distances from the batch kernel l2_batch, itself tested bitwise against the
-scalar one. The library's vectorized versions must reproduce these outputs
-exactly, element for element.
+scalar one. The index reader unpacks one word at a time with struct. The
+library's vectorized versions must reproduce these outputs exactly, element
+for element.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -221,3 +223,43 @@ def literal_cover_tree(dataset, base, order):
         level[p] = level[node] - 1
         children[node].append(p)
     return parent, level, children
+
+
+def literal_load(raw: bytes):
+    """Read index-file bytes one node at a time, checking them in
+    load_index's documented order. Returns (n, m, enter point, per-node id
+    lists), or the FormatError message load_index must give, without its
+    path prefix."""
+    if raw[:4] != b"TBSG":
+        return "bad magic, not an index file"
+    if len(raw) < 20:
+        return "truncated header"
+    version, n, m, ep = struct.unpack_from("<IIII", raw, 4)
+    if version != 1:
+        return f"unsupported format version {version}"
+    if len(raw) % 4:
+        return f"truncated record at byte offset {len(raw)}"
+    if n == 0:
+        return "index holds no nodes"
+    words = [w for (w,) in struct.iter_unpack("<I", raw[20:])]
+    lists = []
+    pos = 0
+    for u in range(n):
+        if pos == len(words):
+            return f"truncated at node {u}"
+        degree = words[pos]
+        if pos + 1 + degree > len(words):
+            return f"truncated neighbor list at node {u}"
+        lists.append(words[pos + 1 : pos + 1 + degree])
+        pos += 1 + degree
+    if pos < len(words):
+        return f"{4 * (len(words) - pos)} trailing bytes"
+    for u, ids in enumerate(lists):
+        if len(ids) > m:
+            return f"node {u} holds {len(ids)} ids, more than m={m}"
+    if ep >= n:
+        return f"enter point {ep} out of range [0, {n})"
+    for u, ids in enumerate(lists):
+        if any(v >= n for v in ids):
+            return f"neighbor id out of range at node {u}"
+    return n, m, ep, lists

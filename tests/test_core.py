@@ -151,9 +151,25 @@ class TestBatchKernels:
         batch = distances_to_many(self.ds, queries, ids=ids)
         assert batch.tolist() == [l2_distance(x[i], q) for i, q in zip(ids, queries)]
 
+    def test_distances_to_many_gathered_rows_match_l2_batch_bitwise(self):
+        # The gathered rows take the query's subtraction in place; neither
+        # the query nor the dataset may change, and the bits must not either.
+        x = self.ds.vectors64
+        ids = np.array([4, 0, 29, 4, 11])
+        per_row = x[[1, 2, 3, 5, 8]] * 0.75
+        for query in (self.q, per_row):
+            before = query.copy()
+            batch = distances_to_many(self.ds, query, ids=ids)
+            assert batch.tobytes() == l2_batch(x[ids], query).tobytes()
+            assert np.array_equal(query, before)
+        assert np.array_equal(self.ds.vectors64, self.ds.vectors.astype(np.float64))
+
     def test_distances_to_many_rejects_bad_query(self):
         with pytest.raises(ValueError, match="does not match"):
             distances_to_many(self.ds, np.zeros(3))
+        with pytest.raises(ValueError, match="does not match"):
+            # One row would broadcast over every gathered row.
+            distances_to_many(self.ds, np.zeros((1, 7)), ids=[0, 1])
         with pytest.raises(ValueError, match="does not match"):
             distances_to_many(self.ds, np.zeros((3, 7)), ids=[0, 1])
         with pytest.raises(ValueError, match="does not match"):

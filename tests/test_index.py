@@ -26,7 +26,7 @@ from tbsg import (
 )
 from tbsg.bench import brute_force_groundtruth, recall
 
-from literal_algos import literal_evals, literal_expansions, literal_search
+from literal_algos import literal_evals, literal_expansions, literal_load, literal_search
 
 
 class TestParams:
@@ -273,6 +273,23 @@ class TestSearch:
         index = build_tbsg(ds, TbsgParams(K=5, m=5))
         with pytest.raises(ValueError, match="does not match"):
             search_knn(index, ds, np.zeros(3), SearchParams(l=5, k=1))
+
+    @pytest.mark.parametrize("shape", [(2, 8), (4, 4)])
+    def test_query_of_another_shape_rejected(self, shape):
+        # Sixteen values in any other shape are not one 16-d query.
+        ds = generate_synthetic(40, 16, seed=0)
+        index = build_tbsg(ds, TbsgParams(K=5, m=5))
+        with pytest.raises(ValueError, match=r"query shape \(\d, \d\) does not match"):
+            search_knn(index, ds, np.zeros(shape), SearchParams(l=5, k=5))
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 16)])
+    def test_one_query_as_vector_or_row(self, shape):
+        ds = generate_synthetic(40, 16, seed=0)
+        index = build_tbsg(ds, TbsgParams(K=5, m=5))
+        sp = SearchParams(l=8, k=5)
+        q = ds.vectors64[7] + 0.01
+        expected = search_knn_with_stats(index, ds, q, sp)
+        assert search_knn_with_stats(index, ds, q.reshape(shape), sp) == expected
 
     def test_non_finite_query_rejected(self):
         ds = generate_synthetic(20, 4, seed=0)
@@ -536,6 +553,58 @@ class TestCsrLayout:
             TbsgIndex(n=3, m=1, enter_point=ep, adjacency=[[1], [2], [0]])
 
 
+# The corruption sweep's index, saved as a 5-word header, one degree word
+# per node and one word per id; each word in turn takes each value.
+_SWEEP_INDEX = TbsgIndex(n=5, m=3, enter_point=0, adjacency=[[1, 3], [], [0], [], [0, 1, 2]])
+_SWEEP_WORDS = 5 + _SWEEP_INDEX.n + _SWEEP_INDEX.neighbors.size
+_SWEEP_VALUES = sorted(
+    {0, 1, _SWEEP_INDEX.m, _SWEEP_INDEX.m + 1, _SWEEP_INDEX.n - 1, _SWEEP_INDEX.n, 2**31, 2**32 - 1}
+)
+
+
+class TestLoadSweep:
+    """Every damaged copy of a small saved index either loads as a plain
+    word-by-word reader reads it or raises FormatError with that reader's
+    message; never IndexError, MemoryError or a bare ValueError."""
+
+    @staticmethod
+    def _check(tmp_path, raw: bytes):
+        path = tmp_path / "s.tbsg"
+        path.write_bytes(raw)
+        expected = literal_load(raw)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as err:
+                load_index(path)
+            assert str(err.value) == f"{path}: {expected}"
+            return
+        loaded = load_index(path)
+        assert loaded.offsets.dtype == np.int64 and loaded.neighbors.dtype == np.int64
+        assert (loaded.n, loaded.m, loaded.enter_point) == expected[:3]
+        assert [a.tolist() for a in loaded.adjacency] == expected[3]
+
+    @staticmethod
+    def _saved(tmp_path) -> bytes:
+        path = tmp_path / "orig.tbsg"
+        save_index(_SWEEP_INDEX, path)
+        raw = path.read_bytes()
+        assert len(raw) == 4 * _SWEEP_WORDS
+        return raw
+
+    @pytest.mark.parametrize("value", _SWEEP_VALUES)
+    @pytest.mark.parametrize("word", range(_SWEEP_WORDS))
+    def test_overwritten_word(self, tmp_path, word, value):
+        raw = bytearray(self._saved(tmp_path))
+        raw[4 * word : 4 * word + 4] = struct.pack("<I", value)
+        self._check(tmp_path, bytes(raw))
+
+    @pytest.mark.parametrize("cut", range(4 * _SWEEP_WORDS + 1))
+    def test_cut_file(self, tmp_path, cut):
+        self._check(tmp_path, self._saved(tmp_path)[:cut])
+
+    def test_trailing_word(self, tmp_path):
+        self._check(tmp_path, self._saved(tmp_path) + struct.pack("<I", 0))
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(120, 6, clusters=2, spread=0.8, seed=8)
@@ -591,13 +660,21 @@ class TestPersistence:
             with pytest.raises(FormatError, match="magic" if cut < 4 else "truncated"):
                 load_index(path)
         head = 20
-        for nbrs in adjacency:
+        for u, nbrs in enumerate(adjacency):
             remaining = (len(raw) - head) // 4 - 1
             for degree in (remaining + 1, 2**32 - 1):
                 damaged = bytearray(raw)
                 damaged[head : head + 4] = struct.pack("<I", degree)
                 path.write_bytes(bytes(damaged))
-                with pytest.raises(FormatError, match="truncated neighbor list"):
+                with pytest.raises(FormatError, match=f"truncated neighbor list at node {u}$"):
+                    load_index(path)
+            if u < len(adjacency) - 1:
+                # A list that ends exactly at the end of the file leaves the
+                # next node without its degree word.
+                damaged = bytearray(raw)
+                damaged[head : head + 4] = struct.pack("<I", remaining)
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(FormatError, match=f"truncated at node {u + 1}$"):
                     load_index(path)
             head += 4 * (1 + len(nbrs))
 
