@@ -11,7 +11,9 @@ parent. The outputs are:
   parameters);
 - the kept positions of pruning's rng and nssg rules on the desk base set's
   real pool (build_tbsg prunes with tbsg alone, so the index hashes do not
-  pin the other two rules);
+  pin the other two rules), and of all three rules on 3,000 points in 100
+  tight clusters (spread 0.005), on the same moved by +100 and on the same
+  scaled by 2^-70, past the range of pruning's float32 pair test;
 - NN-descent ids and distances on criterion 08's set, on a 20k x 16 set
   whose rounds propose enough pairs to split the merge into several shards,
   and after one round at K=100 on the desk base set, where the join pools
@@ -81,6 +83,15 @@ def _pool(dataset: Dataset, params: TbsgParams) -> tuple:
     return pools[0]
 
 
+def _print_kept(label: str, dataset: Dataset, params: TbsgParams, strategies) -> None:
+    """Hash the kept positions of each rule on build_tbsg's pool."""
+    pool = _pool(dataset, params)
+    for strategy in strategies:
+        kept = _select_from_arrays(*pool, StrategyParams(strategy, m=params.m, mp=params.mp), dataset)
+        sha = hashlib.sha256(kept.tobytes()).hexdigest()
+        print(f"pruning {label} {strategy}  {sha}", flush=True)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -95,11 +106,10 @@ def main() -> None:
         print(f"index criterion-06  {_index_sha(desk, TbsgParams(), tmp)}", flush=True)
     base, _ = WORKLOADS["desk"].make(seed=0)
     params = TbsgParams(**WORKLOADS["desk"].build_params())
-    pool = _pool(Dataset(base), params)
-    for strategy in ("rng", "nssg"):
-        kept = _select_from_arrays(*pool, StrategyParams(strategy, m=params.m), Dataset(base))
-        sha = hashlib.sha256(kept.tobytes()).hexdigest()
-        print(f"pruning desk {strategy}  {sha}", flush=True)
+    _print_kept("desk", Dataset(base), params, ("rng", "nssg"))
+    tight = generate_synthetic(3000, 16, clusters=100, spread=0.005, seed=0).vectors
+    for label, rows in (("tight", tight), ("tight+100", tight + 100), ("tight-x2^-70", tight * 2.0**-70)):
+        _print_kept(label, Dataset(rows), TbsgParams(K=20, m=20), ("rng", "nssg", "tbsg"))
     runs = [
         ("criterion-08", generate_synthetic(2000, 16, clusters=4, spread=1.0, seed=8), 20, 10, 8),
         ("20k-x-16", generate_synthetic(20_000, 16, seed=7), 20, 10, 3),

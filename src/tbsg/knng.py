@@ -234,11 +234,19 @@ def _exact_topk(
     width = k + _SHORTLIST_PAD
     # Centring on x's mean moves no distance and shrinks (|q| + max|x|)^2
     # in the bound below to the data's own spread, wherever the data sit.
+    # Rows are centred a block at a time, so no centred copy of x is held.
     mean = x.mean(axis=0)
-    xm = x - mean
-    qm = xm if queries64 is x else queries64 - mean
-    x_sq = np.einsum("ij,ij->i", xm, xm)
-    q_sq = np.einsum("ij,ij->i", qm, qm)
+    step = max(1, _BLOCK_VALUES // max(dim, 1))
+
+    def centred_sq(a):
+        out = np.empty(a.shape[0], dtype=np.float64)
+        for i in range(0, a.shape[0], step):
+            c = a[i : i + step] - mean
+            out[i : i + step] = np.einsum("ij,ij->i", c, c)
+        return out
+
+    x_sq = centred_sq(x)
+    q_sq = x_sq if queries64 is x else centred_sq(queries64)
     reach = np.sqrt(q_sq) + float(np.sqrt(x_sq.max()))
     # Rounding bound, u the unit roundoff of the matmul's type. A dot
     # product over dim + 1 terms, norms included, errs by at most
@@ -259,7 +267,9 @@ def _exact_topk(
 
     def operands(dtype):
         xa = np.empty((n, dim + 1), dtype=dtype)
-        np.multiply(xm, -2.0, out=xa[:, :dim], casting="same_kind")
+        for i in range(0, n, step):
+            c = x[i : i + step] - mean
+            np.multiply(c, -2.0, out=xa[i : i + step, :dim], casting="same_kind")
         xa[:, dim] = x_sq
         # The sampled cut's columns: about _SAMPLE_COLUMNS evenly strided
         # ones, their expansions from a matmul of their own.
@@ -277,7 +287,7 @@ def _exact_topk(
         while width < n:
             q = queries64[start:stop]
             qa = np.ones((stop - start, dim + 1), dtype=dtype)
-            qa[:, :dim] = qm[start:stop]
+            qa[:, :dim] = q - mean
             g = np.matmul(qa, xa.T, out=g_buf[: stop - start])
             cand, left_out = _shortlist(g, width, None if xs is None else qa @ xs)
             ids[start:stop], dists[start:stop] = _ranked_topk(q, x, cand, k)

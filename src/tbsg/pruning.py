@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, pairwise_distances
+from .core import Dataset, pairwise_distances, pairwise_sq32
 from .knng import _run_starts
 
 __all__ = [
@@ -174,8 +174,9 @@ class StrategyParams:
     exclude beyond the rng precondition, so 0.5 is the floor (values above
     1.0 are legal, and then the probability rule excludes nothing). alpha_t
     is the nssg angle threshold in radians, at most 60 degrees. In static
-    r_mode, static_r[s] supplies the per-node radius; dynamic mode uses the
-    candidate's own distance d_se.
+    r_mode, static_r[s] supplies the per-node radius, one finite
+    non-negative value per node (0 falls back to the dynamic radius);
+    dynamic mode uses the candidate's own distance d_se.
     """
 
     strategy: str = "tbsg"
@@ -198,6 +199,94 @@ class StrategyParams:
             raise ValueError(f"unknown r_mode {self.r_mode!r}")
         if self.r_mode == "static" and self.static_r is None:
             raise ValueError("static r_mode requires static_r values")
+        if self.static_r is not None:
+            static_r = np.asarray(self.static_r, dtype=np.float64)
+            if static_r.ndim != 1:
+                raise ValueError(f"static_r must be 1-D, got shape {static_r.shape}")
+            # 0 stays legal: such a node falls back to the dynamic radius.
+            if not np.all(static_r >= 0.0) or not np.all(np.isfinite(static_r)):
+                raise ValueError("static_r must hold finite non-negative radii")
+            object.__setattr__(self, "static_r", static_r)
+
+
+def _exact_blocked(d_ve, d_sv, d_se, r, params: StrategyParams, cos_threshold: float):
+    """The strategy's rule on float64 pair distances d_ve: True where the
+    keeper blocks the candidate."""
+    if params.strategy == "nssg":
+        num = d_sv * d_sv + d_se * d_se - d_ve * d_ve
+        return num / (2.0 * d_sv * d_se) >= cos_threshold
+    blocked = d_ve < d_se
+    if params.strategy == "tbsg":
+        # The probability rule only narrows the RNG rule's blocks.
+        b = np.flatnonzero(blocked)
+        blocked[b] = _min_prob_pairs(d_se[b], d_sv[b], d_ve[b], r[b]) >= params.mp
+    return blocked
+
+
+def _sides(sq, threshold, terms, slack):
+    """Where sq certainly lies below, and where certainly above, the
+    threshold: farther from it than slack * (sq + terms)."""
+    margin = slack * (sq + terms)
+    return sq + margin < threshold, sq - margin > threshold
+
+
+def _float32_blocked(sq, d_sv, d_se, r, params: StrategyParams, cos_threshold: float, slack: float):
+    """(blocked, decided) from float32 squared pair distances sq: each rule
+    as a threshold on d_ve^2, decided where sq lies clearly on one side."""
+    sq = sq.astype(np.float64)
+    se2 = d_se * d_se
+    if params.strategy == "nssg":
+        sv2, cross = d_sv * d_sv, 2.0 * d_sv * d_se
+        below, above = _sides(sq, sv2 + se2 - cross * cos_threshold, sv2 + se2 + cross, slack)
+        return below, below | above
+    # rng, and tbsg's RNG part: d_ve < d_se.
+    below, above = _sides(sq, se2, se2, slack)
+    if params.strategy == "tbsg" and params.mp > 1.0:
+        # min_prob never exceeds 1: nothing is blocked.
+        below[:] = False
+        above[:] = True
+    elif params.strategy == "tbsg":
+        # min_prob >= mp exactly when h / r >= cos(pi (1 - mp)), a number in
+        # [0, 1], so the clip never decides. At mp = 0.5 every pair the RNG
+        # part blocks passes; the cosine rounds to 6e-17, not 0, which the
+        # threshold's rounding term covers.
+        reach = 2.0 * d_sv * r
+        p_below, p_above = _sides(sq, se2 - reach * math.cos(math.pi * (1.0 - params.mp)), se2 + reach, slack)
+        below &= p_below
+        above |= p_above
+    return below, below | above
+
+
+def _float32_slack(dataset: Dataset) -> float | None:
+    """Relative slack of the float32 pair test on this data, or None when
+    the data leave the range that keeps its bound.
+
+    Rounding bound, u = 2^-24. A float32 sum of dim squared differences,
+    each difference and square rounded once, lies within gamma_{dim+2} =
+    (dim+2)u / (1 - (dim+2)u) of the exact squared distance t in any
+    summation order, provided every nonzero square is a normal number. The
+    exact way computes t within (dim+2) float64 roundings, takes a square
+    root and evaluates the rule with a few more roundings, each at most
+    2^-53 times the threshold's terms (arccos's, at most a few units in the
+    last place of h / r, scaled by 2 d_sv r); the threshold here rounds as
+    much. (dim + 3) * 2^-23 = 2 (dim + 3) u covers gamma_{dim+2} /
+    (1 - gamma_{dim+2}), sq's error relative to sq itself, about twice over
+    at any practical dim, with room for every float64 term, so a pair whose
+    sq lies farther than slack * (sq + terms) from the threshold gets the
+    exact way's answer. Nonzero |x| of at least
+    2^-40 make every nonzero difference a multiple of 2^-63, whose square is
+    a normal float32; |x| of at most 2^62 / sqrt(dim) keep each sum below
+    2^126.
+    """
+    x = dataset.vectors
+    if not x.size:
+        return None
+    top = max(float(x.max()), -float(x.min()))
+    ax = np.abs(x)
+    low = float(np.min(ax, where=ax > 0.0, initial=np.inf))
+    if not (2.0**-40 <= low and top <= 2.0**62 / math.sqrt(dataset.dim)):
+        return None
+    return (dataset.dim + 3) * 2.0**-23
 
 
 def _select_from_arrays(
@@ -218,19 +307,32 @@ def _select_from_arrays(
     no search progress and break the angle terms, so they are dropped.
 
     Whole nodes are pruned in lock-step, a chunk at a time. Each round keeps
-    every node's first alive candidate, and one pairwise_distances call,
-    gathering each pair's rows by id, measures that keeper against the
+    every node's first alive candidate and measures that keeper against the
     node's other alive candidates: those the strategy's rule blocks are
     struck out. A node left with nothing alive never comes back, so every
     node alive in round r has kept r - 1: the degree cap is the round count,
-    and round m keeps its keepers without measuring anything. Each pair
-    distance is computed once, as the per-node scan would. Keepers go into
-    one mask over the whole pool, so its nonzero positions come back
+    and round m keeps its keepers without measuring anything. Keepers go
+    into one mask over the whole pool, so its nonzero positions come back
     ascending and each node's kept ids stay in distance order.
+
+    A round measures its pairs in float32, by one pairwise_sq32 call, and
+    reads each rule as a threshold T on d_ve^2: d_se^2 for rng;
+    d_sv^2 + d_se^2 - 2 d_sv d_se cos_threshold for nssg; for tbsg d_se^2
+    and d_se^2 - 2 d_sv r cos(pi (1 - mp)), which every RNG-blocked pair
+    meets at mp = 0.5 and none at mp > 1. A pair is decided where its
+    float32 value sq lies farther from T than slack * (sq + the threshold's
+    terms), which covers sq's rounding, the threshold's and the exact
+    formula's (_float32_slack). The rest, a handful per build, take the
+    exact way: float64 distances from pairwise_distances and the rule's
+    expressions in _exact_blocked, as do all pairs when the data leave the
+    range the bound holds on. So the kept mask is the float64 scan's, bit
+    for bit.
     """
     n = offsets.shape[0] - 1
-    if params.strategy == "nssg":
-        cos_threshold = math.cos(params.alpha_t) - _COS_SLACK
+    if params.r_mode == "static" and params.static_r.shape[0] != n:
+        raise ValueError(f"static_r holds {params.static_r.shape[0]} radii for {n} nodes")
+    cos_threshold = math.cos(params.alpha_t) - _COS_SLACK
+    slack = _float32_slack(dataset)
     kept = np.zeros(cand_ids.shape[0], dtype=bool)
     lo = 0
     while lo < n:
@@ -240,13 +342,12 @@ def _select_from_arrays(
         start, stop = offsets[lo], offsets[hi]
         ids, d, chunk_kept = cand_ids[start:stop], cand_d[start:stop], kept[start:stop]
         owner = np.repeat(np.arange(hi - lo), np.diff(offsets[lo : hi + 1]))
-        if params.strategy == "tbsg":
-            radius = d
-            if params.r_mode == "static":
-                r_s = params.static_r[lo:hi][owner]
-                # A node whose nearest neighbor is a duplicate has no usable
-                # static radius; fall back to the dynamic rule for it.
-                radius = np.where(r_s > 0.0, r_s, d)
+        radius = d
+        if params.strategy == "tbsg" and params.r_mode == "static":
+            r_s = params.static_r[lo:hi][owner]
+            # A node whose nearest neighbor is a duplicate has no usable
+            # static radius; fall back to the dynamic rule for it.
+            radius = np.where(r_s > 0.0, r_s, d)
         alive = np.flatnonzero(d > 0.0)
         for rnd in range(1, params.m + 1):
             if not alive.size:
@@ -259,18 +360,16 @@ def _select_from_arrays(
             # The rest of each node's alive candidates, paired with its keeper.
             rest = alive[~first]
             v = keepers[np.cumsum(first)[~first] - 1]
-            d_ve = pairwise_distances(dataset, ids[v], ids[rest])
-            d_sv, d_se = d[v], d[rest]
-            if params.strategy == "nssg":
-                num = d_sv * d_sv + d_se * d_se - d_ve * d_ve
-                blocked = num / (2.0 * d_sv * d_se) >= cos_threshold
+            d_sv, d_se, r = d[v], d[rest], radius[rest]
+            if slack is None:
+                blocked, decided = np.zeros((2, rest.size), dtype=bool)
             else:
-                blocked = d_ve < d_se
-            if params.strategy == "tbsg":
-                # The probability rule only narrows the RNG rule's blocks.
-                b = np.flatnonzero(blocked)
-                r = radius[rest[b]]
-                blocked[b] = _min_prob_pairs(d_se[b], d_sv[b], d_ve[b], r) >= params.mp
+                sq = pairwise_sq32(dataset, ids[v], ids[rest])
+                blocked, decided = _float32_blocked(sq, d_sv, d_se, r, params, cos_threshold, slack)
+            u = np.flatnonzero(~decided)
+            if u.size:
+                d_ve = pairwise_distances(dataset, ids[v[u]], ids[rest[u]])
+                blocked[u] = _exact_blocked(d_ve, d_sv[u], d_se[u], r[u], params, cos_threshold)
             alive = rest[~blocked]
         lo = hi
     return np.flatnonzero(kept)

@@ -10,6 +10,7 @@ from literal_algos import literal_select
 import tbsg.pruning
 from tbsg import (
     Dataset,
+    add_reverse_edges,
     StrategyParams,
     TbsgParams,
     TriangleGeom,
@@ -21,7 +22,7 @@ from tbsg import (
     monte_carlo_prob,
     select_neighbors,
 )
-from tbsg.core import pairwise_distances
+from tbsg.core import pairwise_distances, pairwise_sq32
 from tbsg.pruning import analytic_disk_prob, _bisector_offset
 
 
@@ -190,6 +191,30 @@ class TestStrategyParams:
 
     def test_mp_above_one_is_legal(self):
         assert StrategyParams(mp=1.0 + 1e-9).mp > 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_static_r_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="static_r must hold finite non-negative"):
+            StrategyParams(r_mode="static", static_r=np.array([1.0, bad, 2.0]))
+
+    def test_static_r_of_two_dims_rejected(self):
+        with pytest.raises(ValueError, match="static_r must be 1-D"):
+            StrategyParams(r_mode="static", static_r=np.ones((3, 1)))
+        with pytest.raises(ValueError, match="static_r must be 1-D"):
+            StrategyParams(r_mode="static", static_r=np.float64(1.0))
+
+    def test_static_r_zero_is_legal(self):
+        # A zero radius is the documented fallback to the dynamic rule.
+        params = StrategyParams(r_mode="static", static_r=[0.0, 1.5])
+        assert params.static_r.dtype == np.float64
+        assert params.static_r.tolist() == [0.0, 1.5]
+
+    @pytest.mark.parametrize("length", [3, 39, 41])
+    def test_static_r_of_another_length_rejected(self, length):
+        ds = generate_synthetic(40, 2, clusters=1, spread=1.0, seed=3)
+        params = StrategyParams(r_mode="static", static_r=np.ones(length))
+        with pytest.raises(ValueError, match=f"static_r holds {length} radii for 40 nodes"):
+            select_neighbors(10, _pairs(ds, 10, range(20)), params, ds)
 
 
 def _pairs(dataset: Dataset, s: int, ids) -> list[tuple[int, float]]:
@@ -437,18 +462,26 @@ class TestRounds:
         # Every node alive in round r has kept r - 1 neighbours, so round m
         # keeps each node's first alive candidate without measuring it
         # against the rest: at m = 1 no pair distance is computed, and a
-        # chunk whose nodes reach m makes at most m - 1 pairwise_distances
-        # calls. 2000 candidates make chunks of 100 nodes of 20 candidates.
+        # chunk whose nodes reach m makes at most m - 1 calls of each
+        # kernel, the float32 pairwise_sq32 and the exact pairwise_distances.
+        # 2000 candidates make chunks of 100 nodes of 20 candidates.
         ds = generate_synthetic(300, 8, clusters=2, spread=1.0, seed=3)
         kg = build_knng(ds, 20, exact=True)
         offsets = np.arange(0, kg.ids.size + 1, 20)
         calls = []
 
+        calls32 = []
+
         def spy(dataset, a, b):
             calls.append(len(a))
             return pairwise_distances(dataset, a, b)
 
+        def spy32(dataset, a, b):
+            calls32.append(len(a))
+            return pairwise_sq32(dataset, a, b)
+
         monkeypatch.setattr(tbsg.pruning, "pairwise_distances", spy)
+        monkeypatch.setattr(tbsg.pruning, "pairwise_sq32", spy32)
         monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
         params = StrategyParams(strategy="rng", m=m)
         kept = tbsg.pruning._select_from_arrays(
@@ -457,3 +490,126 @@ class TestRounds:
         degree = np.diff(np.searchsorted(kept, offsets))
         assert degree.max() == m
         assert len(calls) <= chunks * (m - 1)
+        assert len(calls32) <= chunks * (m - 1)
+        # The float32 kernel measures every round but the last.
+        assert (len(calls32) > 0) == (m > 1)
+
+
+def _params(strategy: str, r_mode: str, ds: Dataset, kg, **kw) -> StrategyParams:
+    """One strategy's params; static mode takes build_tbsg's radii."""
+    static_r = kg.dists[:, 0].copy() if r_mode == "static" else None
+    return StrategyParams(strategy=strategy, r_mode=r_mode, static_r=static_r, **kw)
+
+
+def _assert_pools_match_literal(ds: Dataset, kg, params: StrategyParams) -> int:
+    """Prune every node's bidirected KNNG pool at once; each node must keep
+    what the literal scan keeps. Returns the number of edges kept."""
+    bg = add_reverse_edges(kg)
+    kept = tbsg.pruning._select_from_arrays(bg.offsets, bg.ids, bg.dists, params, ds)
+    for s in range(ds.count):
+        lo, hi = bg.offsets[s], bg.offsets[s + 1]
+        mine = kept[(kept >= lo) & (kept < hi)]
+        pool = list(zip(bg.ids[lo:hi].tolist(), bg.dists[lo:hi].tolist()))
+        assert bg.ids[mine].tolist() == literal_select(ds, s, pool, params), (params.strategy, s)
+    return kept.size
+
+
+STRATEGIES = [
+    ("rng", "dynamic", {}),
+    ("nssg", "dynamic", {"alpha_t": 0.9}),
+    ("tbsg", "dynamic", {"mp": 0.55}),
+    ("tbsg", "static", {"mp": 0.55}),
+    ("tbsg", "dynamic", {"mp": 0.5}),
+    # Only a static radius below d_se lets a real triple reach min_prob 1.
+    ("tbsg", "static", {"mp": 1.0}),
+    ("tbsg", "static", {"mp": 1.0 + 1e-9}),
+]
+
+
+class TestFloat32Decisions:
+    """A round decides a pair from its float32 squared distance only where
+    the rounding margin puts it clearly on one side of the rule's threshold;
+    on every boundary below, each node must keep what the float64 literal
+    scan keeps."""
+
+    @pytest.mark.parametrize("strategy,r_mode,kw", STRATEGIES)
+    def test_integer_grid_ties(self, strategy, r_mode, kw):
+        # Coordinates in {-2..2} * 1001: squared distances are small
+        # integers times 1001^2, so d_ve == d_se ties are exact in float64,
+        # while the squares exceed 2^24 and float32 rounds them.
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.integers(-2, 3, size=(300, 8)) * 1001.0)
+        kg = build_knng(ds, 12, exact=True)
+        # Candidates as far from s as from s's nearest neighbour: the first
+        # round's RNG ties.
+        x = ds.vectors64
+        to_v = np.sum((x[kg.ids] - x[kg.ids[:, :1]]) ** 2, axis=2)
+        to_s = np.sum((x[kg.ids] - x[:, None]) ** 2, axis=2)
+        assert np.count_nonzero(to_v == to_s) > 100
+        assert tbsg.pruning._float32_slack(ds) is not None
+        params = _params(strategy, r_mode, ds, kg, m=10, **kw)
+        assert _assert_pools_match_literal(ds, kg, params) > ds.count
+
+    @pytest.mark.parametrize("strategy", ["rng", "nssg", "tbsg"])
+    @pytest.mark.parametrize("r_mode", ["dynamic", "static"])
+    def test_thresholds_met_exactly_by_a_real_triple(self, strategy, r_mode):
+        # For each node, the pair of its nearest candidate v and a later one
+        # e sets the threshold: mp is that triple's min_prob, which the
+        # float64 rule meets with equality, and alpha_t is its angle, within
+        # a unit in the last place of the nssg test's cosine.
+        ds = generate_synthetic(200, 16, clusters=3, spread=0.5, seed=8)
+        kg = build_knng(ds, 20, exact=True)
+        bg = add_reverse_edges(kg)
+        x = ds.vectors64
+        checked = 0
+        for s in range(0, ds.count, 3):
+            ids = bg.ids[bg.offsets[s] : bg.offsets[s + 1]]
+            dists = bg.dists[bg.offsets[s] : bg.offsets[s + 1]]
+            pool = list(zip(ids.tolist(), dists.tolist()))
+            v, d_sv = pool[0]
+            for e, d_se in pool[1:]:
+                d_ve = l2_distance(x[v], x[e])
+                r = kg.dists[s, 0] if r_mode == "static" else d_se
+                cos_a = (d_sv * d_sv + d_se * d_se - d_ve * d_ve) / (2.0 * d_sv * d_se)
+                if strategy == "tbsg" and d_ve < d_se:
+                    mp = min_prob(TriangleGeom(d_se, d_sv, d_ve, r))
+                    if 0.5 < mp <= 1.0:
+                        kw = {"mp": mp}
+                        break
+                if strategy == "nssg" and 0.5 + 1e-8 < cos_a < 1.0 - 1e-8:
+                    kw = {"alpha_t": math.acos(cos_a + 1e-9)}
+                    break
+                if strategy == "rng":
+                    kw = {}
+                    break
+            else:
+                continue
+            params = _params(strategy, r_mode, ds, kg, m=15, **kw)
+            assert select_neighbors(s, pool, params, ds) == literal_select(ds, s, pool, params)
+            checked += 1
+        assert checked > 40
+
+    @pytest.mark.parametrize("scale", [2.0**-70, 2.0**70])
+    @pytest.mark.parametrize("strategy,r_mode,kw", STRATEGIES[:4])
+    def test_data_past_the_float32_range(self, scale, strategy, r_mode, kw):
+        # Squares of differences would underflow or overflow in float32, so
+        # the guard sends every pair the exact way; a zero row adds |x| = 0,
+        # which the guard ignores.
+        rows = generate_synthetic(150, 16, clusters=3, spread=0.5, seed=9).vectors64 * scale
+        ds = Dataset(np.concatenate([rows, np.zeros((1, 16))]))
+        assert tbsg.pruning._float32_slack(ds) is None
+        kg = build_knng(ds, 12, exact=True)
+        params = _params(strategy, r_mode, ds, kg, m=10, **kw)
+        assert _assert_pools_match_literal(ds, kg, params) > ds.count
+
+    def test_tight_and_offset_clusters(self):
+        # Relative to each distance, the bound holds wherever the data sit:
+        # tight clusters, and the same moved by +100.
+        rows = generate_synthetic(600, 16, clusters=20, spread=0.005, seed=0).vectors64
+        for data in (rows, rows + 100.0):
+            ds = Dataset(data)
+            assert tbsg.pruning._float32_slack(ds) is not None
+            kg = build_knng(ds, 12, exact=True)
+            for strategy, r_mode, kw in STRATEGIES[:4]:
+                params = _params(strategy, r_mode, ds, kg, m=10, **kw)
+                _assert_pools_match_literal(ds, kg, params)
