@@ -43,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 import tbsg.index  # noqa: E402
@@ -71,15 +72,15 @@ def _pool(dataset: Dataset, params: TbsgParams) -> tuple:
     """The (offsets, ids, dists) pool build_tbsg hands to the pruning stage."""
     pools = []
 
-    def capture(offsets, cand_ids, cand_d, strategy, ds):
-        pools.append((offsets, cand_ids, cand_d))
-        return _select_from_arrays(offsets, cand_ids, cand_d, strategy, ds)
+    def capture(args, _):
+        pools.append(args[:3])
 
-    tbsg.index._select_from_arrays = capture
+    tracer = Tracer()
+    tracer.wrap(tbsg.index, "_select_from_arrays", "pruning", observe=capture)
     try:
         build_tbsg(dataset, params)
     finally:
-        tbsg.index._select_from_arrays = _select_from_arrays
+        tracer.unwrap()
     return pools[0]
 
 

@@ -4,7 +4,8 @@ and the median milliseconds of saving and loading the index built.
     python3 scripts/stage_times.py [--builds 5] [--sets desk,c09-16k]
 
 The stages are the cover tree, the exact KNNG, the reverse edges (which
-also merge in the tree edges) and pruning, each timed by wrapping the name
+also merge in the tree edges) and pruning, each timed by a span of
+perfbench's Tracer (perfbench/tracing.py, read only) around the name
 tbsg.index calls it by; "other" is the rest of build_tbsg. After each build,
 save_index writes the index to a temporary directory and load_index reads it
 back, each IO_REPEATS times; "save" and "load" are their medians. The sets are the
@@ -31,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 import tbsg.index  # noqa: E402
@@ -77,28 +79,15 @@ def timed_build(dataset: Dataset, params: TbsgParams, path: Path) -> dict:
     """One build's seconds per stage, "other" and "total" included, and the
     median milliseconds of save_index and load_index on the built index
     through `path`."""
-    spent = dict.fromkeys(STAGES.values(), 0.0)
-    real = {name: getattr(tbsg.index, name) for name in STAGES}
-
-    def wrap(name):
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return real[name](*args, **kwargs)
-            finally:
-                spent[STAGES[name]] += time.perf_counter() - t0
-
-        return timed
-
+    tracer = Tracer()
     for name in STAGES:
-        setattr(tbsg.index, name, wrap(name))
+        tracer.wrap(tbsg.index, name, name)
     try:
-        t0 = time.perf_counter()
-        index = build_tbsg(dataset, params)
-        total = time.perf_counter() - t0
+        index = tracer.call("build_tbsg", build_tbsg, (dataset, params))
     finally:
-        for name, fn in real.items():
-            setattr(tbsg.index, name, fn)
+        tracer.unwrap()
+    spent = {stage: tracer.seconds(name) for name, stage in STAGES.items()}
+    total = tracer.seconds("build_tbsg")
     spent["other"] = total - sum(spent.values())
     spent["total"] = total
     for name, call in (("save", lambda: save_index(index, path)), ("load", lambda: load_index(path))):

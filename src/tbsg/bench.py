@@ -32,7 +32,6 @@ __all__ = [
     "brute_force_groundtruth",
     "recall",
     "BenchmarkRow",
-    "BenchmarkReport",
     "run_benchmark",
     "write_report_csv",
     "read_report_csv",
@@ -97,14 +96,6 @@ class BenchmarkRow:
     mean_distance_evals: float
 
 
-@dataclass
-class BenchmarkReport:
-    """One row per pool size, ascending, plus free-form string metadata."""
-
-    rows: list[BenchmarkRow]
-    metadata: dict[str, str]
-
-
 def run_benchmark(
     index: TbsgIndex,
     dataset: Dataset,
@@ -113,9 +104,9 @@ def run_benchmark(
     k: int,
     pool_sizes,
     repetitions: int = 3,
-    metadata: dict[str, str] | None = None,
-) -> BenchmarkReport:
-    """Single-threaded recall/QPS sweep over pool sizes.
+) -> list[BenchmarkRow]:
+    """Single-threaded recall/QPS sweep over pool sizes: one row per pool
+    size, ascending.
 
     Each pool size runs `repetitions` timed sweeps; their median wall-clock
     time yields QPS. Recall@k (against the first k groundtruth columns) and
@@ -155,7 +146,7 @@ def run_benchmark(
                 mean_distance_evals=float(np.mean([ev for _, ev in first])),
             )
         )
-    return BenchmarkReport(rows=rows, metadata=dict(metadata or {}))
+    return rows
 
 
 def _cells(row) -> dict:
@@ -182,9 +173,10 @@ def write_report_csv(rows, path, metadata: dict[str, str] | None = None) -> None
             writer.writerow(cells.values())
 
 
-def read_report_csv(path) -> BenchmarkReport:
-    """Inverse of write_report_csv for search reports:
-    read_report_csv(write(report.rows, path, report.metadata)) == report."""
+def read_report_csv(path) -> tuple[list[BenchmarkRow], dict[str, str]]:
+    """Inverse of write_report_csv for search reports: after
+    write_report_csv(rows, path, metadata), read_report_csv(path) ==
+    (rows, metadata)."""
     metadata: dict[str, str] = {}
     body = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -199,7 +191,7 @@ def read_report_csv(path) -> BenchmarkReport:
     if not body or body[0] != names or any(len(cells) != len(names) for cells in body):
         raise ValueError(f"{path}: not a benchmark report CSV")
     rows = [BenchmarkRow(int(l), *map(float, rest)) for l, *rest in body[1:]]
-    return BenchmarkReport(rows=rows, metadata=metadata)
+    return rows, metadata
 
 
 @dataclass

@@ -140,21 +140,11 @@ def _cmd_search(args) -> int:
     dataset = read_fvecs(args.data)
     queries = read_fvecs(args.queries)
     gt = GroundTruth(ids=_load_gt_ids(args.gt))
-    report = run_benchmark(
-        index,
-        dataset,
-        queries,
-        gt,
-        args.k,
-        args.pool_sizes,
-        repetitions=args.reps,
-        metadata={
-            "dataset": Path(args.data).stem,
-            "index": Path(args.index).name,
-            "k": str(args.k),
-        },
+    rows = run_benchmark(
+        index, dataset, queries, gt, args.k, args.pool_sizes, repetitions=args.reps
     )
-    _report(report.rows, ("", ".4f", ".1f", ".1f"), args.csv, report.metadata)
+    metadata = {"dataset": Path(args.data).stem, "index": Path(args.index).name, "k": str(args.k)}
+    _report(rows, ("", ".4f", ".1f", ".1f"), args.csv, metadata)
     return 0
 
 

@@ -1,7 +1,11 @@
 """Vector storage and the L2 distance kernels shared by every other module.
 
-Vectors are held as a contiguous float32 matrix (row i is point i); all
-distance arithmetic is carried out in float64 so comparisons are stable.
+Vectors are held as a contiguous float32 matrix (row i is point i). Every
+distance that is kept or returned is computed in float64, so comparisons
+are stable. float32 arithmetic (pairwise_sq32, the exact KNNG's expansion
+matmul) only screens: its callers act on a float32 value only where a
+certified rounding margin shows the float64 result would decide the same,
+and compute the rest in float64.
 """
 
 from __future__ import annotations

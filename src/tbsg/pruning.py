@@ -208,6 +208,20 @@ class StrategyParams:
                 raise ValueError("static_r must hold finite non-negative radii")
             object.__setattr__(self, "static_r", static_r)
 
+    def _key(self) -> tuple:
+        """The fields, static_r by value: adding 0.0 turns -0.0 into 0.0,
+        and the radii hold no NaN, so equal radii give equal bytes."""
+        r = None if self.static_r is None else (self.static_r + 0.0).tobytes()
+        return (self.strategy, self.mp, self.alpha_t, self.m, self.r_mode, r)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
 
 def _exact_blocked(d_ve, d_sv, d_se, r, params: StrategyParams, cos_threshold: float):
     """The strategy's rule on float64 pair distances d_ve: True where the
@@ -241,17 +255,15 @@ def _float32_blocked(sq, d_sv, d_se, r, params: StrategyParams, cos_threshold: f
         return below, below | above
     # rng, and tbsg's RNG part: d_ve < d_se.
     below, above = _sides(sq, se2, se2, slack)
-    if params.strategy == "tbsg" and params.mp > 1.0:
-        # min_prob never exceeds 1: nothing is blocked.
-        below[:] = False
-        above[:] = True
-    elif params.strategy == "tbsg":
+    if params.strategy == "tbsg":
         # min_prob >= mp exactly when h / r >= cos(pi (1 - mp)), a number in
-        # [0, 1], so the clip never decides. At mp = 0.5 every pair the RNG
-        # part blocks passes; the cosine rounds to 6e-17, not 0, which the
-        # threshold's rounding term covers.
+        # [0, 1] up to mp = 1, so the clip never decides. At mp = 0.5 every
+        # pair the RNG part blocks passes; the cosine rounds to 6e-17, not 0,
+        # which the threshold's rounding term covers. min_prob never exceeds
+        # 1, so past mp = 1 the threshold is -inf and nothing is blocked.
+        cos_mp = math.cos(math.pi * (1.0 - params.mp)) if params.mp <= 1.0 else math.inf
         reach = 2.0 * d_sv * r
-        p_below, p_above = _sides(sq, se2 - reach * math.cos(math.pi * (1.0 - params.mp)), se2 + reach, slack)
+        p_below, p_above = _sides(sq, se2 - reach * cos_mp, se2 + reach, slack)
         below &= p_below
         above |= p_above
     return below, below | above
@@ -319,14 +331,14 @@ def _select_from_arrays(
     reads each rule as a threshold T on d_ve^2: d_se^2 for rng;
     d_sv^2 + d_se^2 - 2 d_sv d_se cos_threshold for nssg; for tbsg d_se^2
     and d_se^2 - 2 d_sv r cos(pi (1 - mp)), which every RNG-blocked pair
-    meets at mp = 0.5 and none at mp > 1. A pair is decided where its
-    float32 value sq lies farther from T than slack * (sq + the threshold's
-    terms), which covers sq's rounding, the threshold's and the exact
-    formula's (_float32_slack). The rest, a handful per build, take the
-    exact way: float64 distances from pairwise_distances and the rule's
-    expressions in _exact_blocked, as do all pairs when the data leave the
-    range the bound holds on. So the kept mask is the float64 scan's, bit
-    for bit.
+    meets at mp = 0.5 and which is -inf, met by none, at mp > 1. A pair is
+    decided where its float32 value sq lies farther from T than
+    slack * (sq + the threshold's terms), which covers sq's rounding, the
+    threshold's and the exact formula's (_float32_slack). The rest, a
+    handful per build, take the exact way: float64 distances from
+    pairwise_distances and the rule's expressions in _exact_blocked, as do
+    all pairs when the data leave the range the bound holds on. So the kept
+    mask is the float64 scan's, bit for bit.
     """
     n = offsets.shape[0] - 1
     if params.r_mode == "static" and params.static_r.shape[0] != n:

@@ -13,7 +13,6 @@ from tbsg import (
     generate_synthetic,
 )
 from tbsg.bench import (
-    BenchmarkReport,
     BenchmarkRow,
     GroundTruth,
     brute_force_groundtruth,
@@ -98,23 +97,16 @@ class TestRunBenchmark:
 
     def test_exhaustive_pool_gets_full_recall(self):
         index, ds, queries, gt = self._tiny()
-        report = run_benchmark(index, ds, queries, gt, 5, [40], repetitions=1)
-        assert len(report.rows) == 1
-        assert report.rows[0].recall == 1.0
-        assert report.rows[0].qps > 0
-        assert report.rows[0].mean_distance_evals > 0
+        rows = run_benchmark(index, ds, queries, gt, 5, [40], repetitions=1)
+        assert len(rows) == 1
+        assert rows[0].recall == 1.0
+        assert rows[0].qps > 0
+        assert rows[0].mean_distance_evals > 0
 
     def test_row_per_pool_size_ascending(self):
         index, ds, queries, gt = self._tiny()
-        report = run_benchmark(index, ds, queries, gt, 5, [20, 5, 10], repetitions=1)
-        assert [r.l for r in report.rows] == [5, 10, 20]
-
-    def test_metadata_passthrough(self):
-        index, ds, queries, gt = self._tiny()
-        report = run_benchmark(
-            index, ds, queries, gt, 5, [10], repetitions=1, metadata={"tag": "x"}
-        )
-        assert report.metadata == {"tag": "x"}
+        rows = run_benchmark(index, ds, queries, gt, 5, [20, 5, 10], repetitions=1)
+        assert [r.l for r in rows] == [5, 10, 20]
 
     def test_validation(self):
         index, ds, queries, gt = self._tiny()
@@ -138,24 +130,22 @@ class TestRunBenchmark:
         index, ds, queries, gt = self._tiny()
         wide = brute_force_groundtruth(ds, queries, 20)
         assert np.array_equal(wide.ids[:, :5], gt.ids)
-        narrow_report = run_benchmark(index, ds, queries, gt, 5, [10, 40], repetitions=2)
-        wide_report = run_benchmark(index, ds, queries, wide, 5, [10, 40], repetitions=2)
-        assert [r.recall for r in wide_report.rows] == [r.recall for r in narrow_report.rows]
-        assert wide_report.rows[1].recall == 1.0
+        narrow_rows = run_benchmark(index, ds, queries, gt, 5, [10, 40], repetitions=2)
+        wide_rows = run_benchmark(index, ds, queries, wide, 5, [10, 40], repetitions=2)
+        assert [r.recall for r in wide_rows] == [r.recall for r in narrow_rows]
+        assert wide_rows[1].recall == 1.0
 
 
 class TestReportCsv:
     def test_round_trip_exact(self, tmp_path):
-        report = BenchmarkReport(
-            rows=[
-                BenchmarkRow(l=10, recall=1 / 3, qps=1234.5678901234567, mean_distance_evals=87.25),
-                BenchmarkRow(l=20, recall=0.9999999999999999, qps=2.5e-3, mean_distance_evals=1e9),
-            ],
-            metadata={"dataset": "synth", "k": "10", "odd value": "a=b,c"},
-        )
+        rows = [
+            BenchmarkRow(l=10, recall=1 / 3, qps=1234.5678901234567, mean_distance_evals=87.25),
+            BenchmarkRow(l=20, recall=0.9999999999999999, qps=2.5e-3, mean_distance_evals=1e9),
+        ]
+        metadata = {"dataset": "synth", "k": "10", "odd value": "a=b,c"}
         path = tmp_path / "r.csv"
-        write_report_csv(report.rows, path, report.metadata)
-        assert read_report_csv(path) == report  # floats round-trip via repr
+        write_report_csv(rows, path, metadata)
+        assert read_report_csv(path) == (rows, metadata)  # floats round-trip via repr
 
     def test_rejects_non_report(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -79,12 +79,12 @@ class TestPipeline:
 
     def test_search_csv_is_a_report(self, pipeline):
         paths, _ = pipeline
-        report = read_report_csv(paths["csv"])
-        assert [r.l for r in report.rows] == [10, 20]
-        assert all(0.0 <= r.recall <= 1.0 for r in report.rows)
-        assert all(r.qps > 0 for r in report.rows)
-        assert report.metadata["dataset"] == "base"
-        assert report.metadata["k"] == "10"
+        rows, metadata = read_report_csv(paths["csv"])
+        assert [r.l for r in rows] == [10, 20]
+        assert all(0.0 <= r.recall <= 1.0 for r in rows)
+        assert all(r.qps > 0 for r in rows)
+        assert metadata["dataset"] == "base"
+        assert metadata["k"] == "10"
 
     def test_empty_groundtruth_rejected(self, pipeline, tmp_path, capsys):
         paths, _ = pipeline
@@ -112,8 +112,8 @@ class TestPipeline:
             "--queries", paths["queries"], "--gt", wide, "--k", "10",
             "--pool-sizes", "10,20", "--reps", "1", "--csv", csv,
         ]) == 0
-        got = [r.recall for r in read_report_csv(csv).rows]
-        assert got == [r.recall for r in read_report_csv(paths["csv"]).rows]
+        got = [r.recall for r in read_report_csv(csv)[0]]
+        assert got == [r.recall for r in read_report_csv(paths["csv"])[0]]
         capsys.readouterr()
         code = main([
             "search", "--index", paths["index"], "--data", paths["data"],

@@ -209,6 +209,20 @@ class TestStrategyParams:
         assert params.static_r.dtype == np.float64
         assert params.static_r.tolist() == [0.0, 1.5]
 
+    def test_equality_and_hash_compare_static_r_by_value(self):
+        def static(radii):
+            return StrategyParams(r_mode="static", static_r=np.array(radii))
+
+        a, b = static([1.0, 0.0, 2.0]), static([1.0, -0.0, 2.0])
+        assert a == b and hash(a) == hash(b)
+        assert a != static([1.0, 0.5, 2.0])
+        assert a != static([1.0, 0.0])
+        assert StrategyParams() != StrategyParams(static_r=np.ones(3))
+        assert StrategyParams() == StrategyParams()
+        table = {a: "a", StrategyParams(): "none"}
+        assert table[b] == "a" and table[StrategyParams()] == "none"
+        assert static([1.0, 0.5, 2.0]) not in table
+
     @pytest.mark.parametrize("length", [3, 39, 41])
     def test_static_r_of_another_length_rejected(self, length):
         ds = generate_synthetic(40, 2, clusters=1, spread=1.0, seed=3)
