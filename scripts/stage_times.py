@@ -12,7 +12,9 @@ back, each IO_REPEATS times; "save" and "load" are their medians. The sets are t
 perfbench base sets (perfbench/workloads.py, read only) with each
 workload's build profile, and the 2k and 16k prefixes of criterion 09's set
 (generate_synthetic(16000, 16, clusters=1, spread=1.0, seed=7), K=m=20,
-seed 3). The first line names the machine, since seconds depend on it.
+seed 3). The first line names the machine, since seconds depend on it,
+with the BLAS thread count the library's guard reads outside its calls
+(the exact top-k's matmuls run on one).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 import tbsg.index  # noqa: E402
+import tbsg.knng  # noqa: E402
 from tbsg import Dataset, TbsgParams, build_tbsg, generate_synthetic, load_index, save_index  # noqa: E402
 
 STAGES = {
@@ -58,9 +61,11 @@ def machine() -> str:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (TypeError, KeyError):  # older NumPy: no dict mode
         blas = "unknown BLAS"
+    threads = tbsg.knng._one_blas_thread.get()
+    threads = "unknown" if threads is None else threads
     return (
         f"{os.cpu_count()} cores, {cpu}, Python {platform.python_version()}, "
-        f"NumPy {np.__version__} / {blas}"
+        f"NumPy {np.__version__} / {blas}, {threads} BLAS threads"
     )
 
 

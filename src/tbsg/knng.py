@@ -20,7 +20,11 @@ PCG64 stream, and every merge breaks ties by ascending id.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -208,6 +212,48 @@ def _shortlist(
     return cand, left_out
 
 
+class _OneBlasThread(ContextDecorator):
+    """Guard (and decorator) that runs NumPy's bundled OpenBLAS on one thread
+    and then restores its count. The count is process-wide, so nested and
+    concurrent entries share it: the first entrant saves it, the last to
+    leave restores it. get() reads the count; without the wheel's
+    scipy_openblas_{get,set}_num_threads64_ it reads None and set() does
+    nothing."""
+
+    def __init__(self) -> None:
+        self.get, self.set = (lambda: None), (lambda count: None)
+        self._lock, self._depth, self._saved = threading.Lock(), 0, None
+        pkg = Path(np.__file__).parent
+        for path in [*pkg.parent.glob("numpy.libs/*openblas*"), *pkg.glob(".dylibs/*openblas*")]:
+            try:
+                lib = ctypes.CDLL(str(path))  # already loaded by NumPy: one more reference
+                get = lib.scipy_openblas_get_num_threads64_
+                put = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            self.get, self.set = get, put
+            break
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set(self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+@_one_blas_thread
 def _exact_topk(
     x: np.ndarray, queries64: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +272,11 @@ def _exact_topk(
     fails the float32 bound: its block is redone in float64, and so is every
     later block, so data too tight for float32 pay one extra block, not a
     full scan per row.
+
+    Both matmuls run on one OpenBLAS thread (_one_blas_thread): blocks this
+    small lose more to waking a second thread than it adds, and its spin
+    slows the Python stages after the call. They only shortlist, so no
+    output depends on the thread count.
     """
     n, dim = x.shape
     nq = queries64.shape[0]

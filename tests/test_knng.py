@@ -1,14 +1,20 @@
 """Exact and approximate neighbor-graph construction, recall, reverse edges."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import tbsg.knng as knng_module
 from tbsg import (
     Dataset,
+    TbsgParams,
     add_reverse_edges,
+    brute_force_groundtruth,
     build_exact_knng,
     build_knng,
+    build_tbsg,
     generate_synthetic,
     knng_recall,
 )
@@ -217,6 +223,150 @@ class TestExactTopk:
             assert np.array_equal(got.ids, want[0])
             assert np.array_equal(got.dists, want[1])
             assert kinds == want_kinds
+
+
+_GUARD = knng_module._one_blas_thread
+
+
+@pytest.mark.skipif(_GUARD.get() is None, reason="NumPy's OpenBLAS thread-count symbols not found")
+class TestOneBlasThread:
+    """_exact_topk's matmuls run on one OpenBLAS thread, and every call,
+    nested or concurrent, hands the caller's count back."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        # Start from two threads, so that one inside the guard is its doing.
+        saved = _GUARD.get()
+        _GUARD.set(2)
+        assert _GUARD.get() == 2
+        yield
+        _GUARD.set(saved)
+
+    def test_matmuls_run_on_one_thread(self, monkeypatch):
+        # Past a lowered _THRESHOLD_FROM the sampled cut's matmul runs
+        # too; _shortlist is called right after it.
+        seen = []
+        real_matmul, real_shortlist = np.matmul, knng_module._shortlist
+
+        def matmul_spy(*args, **kwargs):
+            seen.append(("matmul", _GUARD.get()))
+            return real_matmul(*args, **kwargs)
+
+        def shortlist_spy(g, width, sample):
+            seen.append(("cut" if sample is not None else "no cut", _GUARD.get()))
+            return real_shortlist(g, width, sample)
+
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        monkeypatch.setattr(knng_module, "_shortlist", shortlist_spy)
+        monkeypatch.setattr(knng_module, "_THRESHOLD_FROM", 100)
+        x = Dataset(_topk_inputs("gaussian", 300, 16, seed=1)[0]).vectors64
+        _exact_topk(x, x, 5)
+        assert seen == [("matmul", 1), ("cut", 1)]
+        assert _GUARD.get() == 2
+
+    def test_count_comes_back_after_each_library_call(self, monkeypatch):
+        ds = generate_synthetic(300, 8, seed=2)
+        build_tbsg(ds, TbsgParams(K=8, m=8, seed=1))
+        assert _GUARD.get() == 2
+        brute_force_groundtruth(ds, generate_synthetic(20, 8, seed=3), 5)
+        assert _GUARD.get() == 2
+        inside = []
+
+        def failing(g, width, sample):
+            inside.append(_GUARD.get())
+            raise RuntimeError("shortlist failed")
+
+        monkeypatch.setattr(knng_module, "_shortlist", failing)
+        with pytest.raises(RuntimeError, match="shortlist failed"):
+            _exact_topk(ds.vectors64, ds.vectors64, 5)
+        assert inside == [1]
+        assert _GUARD.get() == 2
+
+    def test_nested_and_concurrent_entries_restore_the_count(self):
+        with _GUARD:
+            with _GUARD:
+                assert _GUARD.get() == 1
+            assert _GUARD.get() == 1
+        assert _GUARD.get() == 2
+        # Both threads sit inside the guard at once, and leave in either order.
+        both_inside = threading.Barrier(2)
+        counts = []
+
+        def enter():
+            with _GUARD:
+                both_inside.wait(timeout=10)
+                counts.append(_GUARD.get())
+                both_inside.wait(timeout=10)
+
+        workers = [threading.Thread(target=enter) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert counts == [1, 1]
+        assert _GUARD.get() == 2
+        # Two threads ranking at once get the serial answers.
+        x = Dataset(_topk_inputs("gaussian", 400, 16, seed=5)[0]).vectors64
+        want = _exact_topk(x, x, 9)
+        got = [None, None]
+
+        def rank(i):
+            got[i] = _exact_topk(x, x, 9)
+
+        workers = [threading.Thread(target=rank, args=(i,)) for i in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        for ids, dists in got:
+            assert np.array_equal(ids, want[0])
+            assert np.array_equal(dists, want[1])
+        assert _GUARD.get() == 2
+
+    def test_many_threads_switching_often_lose_no_entry(self):
+        # More threads than cores, switching every microsecond: a lost
+        # update of the depth would restore the count under a thread still
+        # inside, or never restore it.
+        inside = []
+
+        def churn():
+            for _ in range(300):
+                with _GUARD:
+                    inside.append(_GUARD.get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert inside == [1] * 1800
+        assert _GUARD.get() == 2
+
+    def test_without_the_symbols_the_result_is_the_same(self, monkeypatch):
+        x = Dataset(_topk_inputs("copies", 600, 16, seed=7)[0]).vectors64
+        guarded = _exact_topk(x, x, 21)
+        # Without the symbols the matmul runs on the caller's two threads.
+        seen, real_get, real_matmul = [], _GUARD.get, np.matmul
+
+        def matmul_spy(*args, **kwargs):
+            seen.append(real_get())
+            return real_matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        monkeypatch.setattr(_GUARD, "get", lambda: None)
+        monkeypatch.setattr(_GUARD, "set", lambda count: None)
+        bare = _exact_topk(x, x, 21)
+        assert seen and set(seen) == {2}
+        assert np.array_equal(bare[0], guarded[0])
+        assert np.array_equal(bare[1], guarded[1])
 
 
 def _large_topk_inputs(kind, n, dim):
