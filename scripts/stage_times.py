@@ -1,5 +1,6 @@
 """Print the median seconds of each build_tbsg stage over several builds,
-and the median milliseconds of saving and loading the index built.
+the median milliseconds of saving and loading the index built, and
+pruning's median microseconds per candidate.
 
     python3 scripts/stage_times.py [--builds 5] [--sets desk,c09-16k]
 
@@ -8,8 +9,10 @@ also merge in the tree edges) and pruning, each timed by a span of
 perfbench's Tracer (perfbench/tracing.py, read only) around the name
 tbsg.index calls it by; "other" is the rest of build_tbsg. After each build,
 save_index writes the index to a temporary directory and load_index reads it
-back, each IO_REPEATS times; "save" and "load" are their medians. The sets are the
-perfbench base sets (perfbench/workloads.py, read only) with each
+back, each IO_REPEATS times; "save" and "load" are their medians.
+"us/cand" is pruning's seconds over the candidates it was handed (the
+length of _select_from_arrays' candidate ids), in microseconds. The sets
+are the perfbench base sets (perfbench/workloads.py, read only) with each
 workload's build profile, and the 2k and 16k prefixes of criterion 09's set
 (generate_synthetic(16000, 16, clusters=1, spread=1.0, seed=7), K=m=20,
 seed 3). The first line names the machine, since seconds depend on it,
@@ -81,12 +84,17 @@ def sets() -> dict:
 
 
 def timed_build(dataset: Dataset, params: TbsgParams, path: Path) -> dict:
-    """One build's seconds per stage, "other" and "total" included, and the
+    """One build's seconds per stage, "other" and "total" included, the
     median milliseconds of save_index and load_index on the built index
-    through `path`."""
+    through `path`, and pruning's microseconds per candidate."""
+    candidates = []
+
+    def count(args, _):
+        candidates.append(len(args[1]))
+
     tracer = Tracer()
     for name in STAGES:
-        tracer.wrap(tbsg.index, name, name)
+        tracer.wrap(tbsg.index, name, name, observe=count if name == "_select_from_arrays" else None)
     try:
         index = tracer.call("build_tbsg", build_tbsg, (dataset, params))
     finally:
@@ -102,6 +110,7 @@ def timed_build(dataset: Dataset, params: TbsgParams, path: Path) -> dict:
             call()
             took.append(time.perf_counter() - t0)
         spent[name] = statistics.median(took) * 1e3
+    spent["us/cand"] = spent["pruning"] / sum(candidates) * 1e6
     return spent
 
 
@@ -117,8 +126,11 @@ def main() -> None:
     unknown = [name for name in names if name not in available]
     if unknown:
         parser.error(f"unknown set(s) {unknown}; choose from {list(available)}")
-    print(f"# {machine()}; median of {args.builds} builds; stages in seconds, save and load in ms")
-    columns = list(STAGES.values()) + ["other", "total", "save", "load"]
+    print(
+        f"# {machine()}; median of {args.builds} builds; stages in seconds, save and load in ms, "
+        "pruning's us per candidate"
+    )
+    columns = list(STAGES.values()) + ["other", "total", "save", "load", "us/cand"]
     print(f"{'set':<10}" + "".join(f"{c:>11}" for c in columns))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.tbsg"

@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 
-__all__ = ["Dataset", "l2_distance", "squared_l2_distance"]
+__all__ = ["Dataset", "l2_distance"]
 
 # float64 values (512 KB) per block of batch-distance work, so that each
 # block's gathered rows and their difference stay in a 2 MiB L2 cache:
-# pairwise_distances' pair chunks and the exact KNNG's re-rank tiles.
+# pairwise_distances' pair chunks, the exact KNNG's re-rank tiles and
+# pruning's candidates per chunk of nodes.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -79,8 +80,8 @@ class Dataset:
         return f"Dataset(count={self.count}, dim={self.dim})"
 
 
-def squared_l2_distance(a, b) -> float:
-    """Squared Euclidean distance; l2_distance takes its square root."""
+def l2_distance(a, b) -> float:
+    """Euclidean distance between two vectors of equal dimension."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
@@ -90,12 +91,7 @@ def squared_l2_distance(a, b) -> float:
     d = a - b
     # einsum, not np.dot: keeps the reduction order identical to l2_batch
     # so scalar and vectorized paths agree bitwise.
-    return float(np.einsum("i,i->", d, d))
-
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two vectors of equal dimension."""
-    return math.sqrt(squared_l2_distance(a, b))
+    return math.sqrt(np.einsum("i,i->", d, d))
 
 
 def l2_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, pairwise_distances, pairwise_sq32
+from .core import _BLOCK_VALUES, Dataset, pairwise_distances, pairwise_sq32
 from .knng import _run_starts
 
 __all__ = [
@@ -36,19 +36,6 @@ __all__ = [
 # Absolute slack on cosine comparisons at the nssg angle threshold, so a
 # candidate sitting numerically on the boundary is excluded consistently.
 _COS_SLACK = 1e-9
-
-# Candidates per chunk of nodes pruned in lock-step, at any dim: each round
-# measures a chunk's pairs in one pairwise_distances call, which gathers
-# them in cache-sized blocks, so a larger chunk makes fewer rounds at no
-# more traffic per pair. _select_from_arrays on the pools of the perfbench
-# base sets and criterion 09's 2k and 16k prefixes (2-core Xeon, Python
-# 3.11.7, NumPy 2.4.6 / OpenBLAS), median of five per pass, for 2^16 / 2^18
-# / 2^20 candidates over three passes: desk 61-69 / 62-72 / 68-69 ms,
-# search32 35-38 / 32-37 / 33-40 ms, sift128 86-88 / 84-89 / 68-91 ms, 2k
-# 45-47 / 40-46 / 39-47 ms, 16k 455-516 / 445-517 / 436-493 ms. The first
-# four are flat from 2^16 on; the 16k prefix, whose 517k candidates 2^20
-# holds in one chunk, gains a few percent up to 2^20.
-_CHUNK_CANDIDATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -318,7 +305,10 @@ def _select_from_arrays(
     params.m kept. Zero-length edges (s itself, exact duplicates of s) carry
     no search progress and break the angle terms, so they are dropped.
 
-    Whole nodes are pruned in lock-step, a chunk at a time. Each round keeps
+    Whole nodes are pruned in lock-step, a chunk at a time of at most
+    core._BLOCK_VALUES candidates (one node alone may hold more), so a
+    round's per-candidate temporaries stay as cache-sized as the batch
+    kernels' blocks; the chunking never changes the mask. Each round keeps
     every node's first alive candidate and measures that keeper against the
     node's other alive candidates: those the strategy's rule blocks are
     struck out. A node left with nothing alive never comes back, so every
@@ -348,8 +338,8 @@ def _select_from_arrays(
     kept = np.zeros(cand_ids.shape[0], dtype=bool)
     lo = 0
     while lo < n:
-        # Whole nodes, at least one, of at most _CHUNK_CANDIDATES together.
-        hi = int(np.searchsorted(offsets, offsets[lo] + _CHUNK_CANDIDATES, side="right")) - 1
+        # Whole nodes, at least one, of at most _BLOCK_VALUES candidates.
+        hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_VALUES, side="right")) - 1
         hi = max(hi, lo + 1)
         start, stop = offsets[lo], offsets[hi]
         ids, d, chunk_kept = cand_ids[start:stop], cand_d[start:stop], kept[start:stop]
@@ -399,7 +389,8 @@ def select_neighbors(
     dropping s itself and every later copy of a repeated id; the closest is
     always kept, and each later one is kept unless an already-kept neighbor
     triggers the strategy's exclusion rule. Returns ids in ascending-distance
-    order.
+    order. Distances must be finite and non-negative; a zero one (a
+    duplicate of s) is dropped like s itself.
     """
     if not 0 <= s < dataset.count:
         raise ValueError(f"node {s} out of range")
@@ -407,6 +398,8 @@ def select_neighbors(
     cand_d = np.asarray([c[1] for c in candidates], dtype=np.float64)
     if cand_ids.size and (cand_ids.min() < 0 or cand_ids.max() >= dataset.count):
         raise ValueError("candidate id out of range")
+    if not np.all(np.isfinite(cand_d) & (cand_d >= 0.0)):
+        raise ValueError("candidate distances must be finite and non-negative")
     order = np.lexsort((cand_ids, cand_d))
     cand_ids, cand_d = cand_ids[order], cand_d[order]
     # Each id's first appearance in scan order, s excluded.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tbsg import Dataset, l2_distance, squared_l2_distance
+from tbsg import Dataset, l2_distance
 from tbsg.core import distances_to_many, l2_batch, pairwise_distances
 
 
@@ -80,7 +80,6 @@ class TestDataset:
 class TestScalarDistances:
     def test_known_values(self):
         assert l2_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-        assert squared_l2_distance([0.0, 0.0], [3.0, 4.0]) == 25.0
         assert l2_distance([1.0, 1.0], [1.0, 1.0]) == 0.0
 
     def test_matches_stdlib_oracle(self):

@@ -293,6 +293,16 @@ class TestSelectNeighbors:
             with pytest.raises(ValueError, match="node .* out of range"):
                 select_neighbors(s, [(3, 1.0)], StrategyParams(), self.ds)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("strategy", ["rng", "nssg", "tbsg"])
+    def test_bad_distance_rejected(self, bad, strategy):
+        # A NaN, infinite or negative distance is refused, not silently
+        # dropped or run through the rules; zero stays legal.
+        cands = _pairs(self.ds, 0, range(1, 10))
+        cands[4] = (cands[4][0], bad)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            select_neighbors(0, cands, StrategyParams(strategy=strategy, m=5), self.ds)
+
     def test_nssg_angle_threshold(self):
         # v at angle 0 is kept first; a 10-degree candidate falls inside a
         # 30-degree cone, a 45-degree candidate does not.
@@ -424,7 +434,7 @@ class TestChunkBudget:
         params = TbsgParams(K=30, m=20, r_mode=r_mode)
         builds = []
         for candidates in (1, 200, 1 << 40):
-            monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
+            monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", candidates)
             builds.append(build_tbsg(ds, params))
         assert builds[0] == builds[1] == builds[2]
         assert builds[0].neighbors.size > ds.count
@@ -434,7 +444,7 @@ class TestChunkBudget:
         # Many nodes' pools in one CSR pair, some empty and some opening
         # with duplicates of their node, pruned at once: each node keeps what
         # the literal per-node scan keeps, whichever chunks the budget forms.
-        monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
+        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", candidates)
         rng = np.random.default_rng(13)
         rows = generate_synthetic(60, 8, clusters=2, spread=1.0, seed=5).vectors
         ds = Dataset(np.concatenate([rows, rows[:20]]))
@@ -469,6 +479,37 @@ class TestChunkBudget:
                 assert cand_ids[mine].tolist() == want, (params.strategy, s)
 
 
+class TestBlockBound:
+    def test_no_kernel_call_exceeds_one_block(self, monkeypatch):
+        # Criterion 09's 4k prefix prunes 127k candidates: two chunks of
+        # at most _BLOCK_VALUES candidates, so no round hands pairwise_sq32
+        # more pairs than one block, and the kept positions are those of one
+        # chunk holding every node.
+        ds = Dataset(generate_synthetic(16_000, 16, clusters=1, spread=1.0, seed=7).vectors[:4000])
+        select = tbsg.pruning._select_from_arrays
+        pools = []
+
+        def capture(offsets, cand_ids, cand_d, params, dataset):
+            pools.append((offsets, cand_ids, cand_d, params))
+            return select(offsets, cand_ids, cand_d, params, dataset)
+
+        monkeypatch.setattr(tbsg.index, "_select_from_arrays", capture)
+        build_tbsg(ds, TbsgParams(K=20, m=20, seed=3))
+        (offsets, cand_ids, cand_d, params), = pools
+        assert cand_ids.size > tbsg.core._BLOCK_VALUES
+        calls32 = []
+
+        def spy32(dataset, a, b):
+            calls32.append(len(a))
+            return pairwise_sq32(dataset, a, b)
+
+        monkeypatch.setattr(tbsg.pruning, "pairwise_sq32", spy32)
+        kept = select(offsets, cand_ids, cand_d, params, ds)
+        assert 0 < max(calls32) <= tbsg.core._BLOCK_VALUES
+        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", 1 << 40)
+        assert np.array_equal(select(offsets, cand_ids, cand_d, params, ds), kept)
+
+
 class TestRounds:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("candidates,chunks", [(1 << 40, 1), (2000, 3)])
@@ -496,7 +537,7 @@ class TestRounds:
 
         monkeypatch.setattr(tbsg.pruning, "pairwise_distances", spy)
         monkeypatch.setattr(tbsg.pruning, "pairwise_sq32", spy32)
-        monkeypatch.setattr(tbsg.pruning, "_CHUNK_CANDIDATES", candidates)
+        monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", candidates)
         params = StrategyParams(strategy="rng", m=m)
         kept = tbsg.pruning._select_from_arrays(
             offsets, kg.ids.ravel(), kg.dists.ravel(), params, ds
