@@ -24,9 +24,12 @@ parent. The outputs are:
 - the cover tree's parents on criterion 09's set (seed 3), whose inserts
   rank the root's children through the same exact top-k;
 - the report CSV bytes of a seeded prob_check (dims 2 and 3, 10k samples),
-  which pin write_report_csv's format.
+  which pin write_report_csv's format;
+- save_index bytes of build_tbsg on 1, 2 and 3 points in both radius modes,
+  where the KNNG rows hold 0, 1 and 2 neighbours;
+- generate_synthetic's bytes for 1 and 4 clusters at spread 0 and 1.
 
-The whole run took 31-34 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
+The whole run took 22-24 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
 OpenBLAS).
 """
 
@@ -134,6 +137,16 @@ def main() -> None:
         path = Path(tmp) / "prob-check.csv"
         write_report_csv(prob_check(dims=(2, 3), samples=10_000, seed=0).rows, path)
         print(f"report prob-check  {hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)
+        for n in (1, 2, 3):
+            for r_mode in ("dynamic", "static"):
+                params = TbsgParams(r_mode=r_mode)
+                sha = _index_sha(generate_synthetic(n, 4, seed=0), params, Path(tmp))
+                print(f"index {n}-point {r_mode}  {sha}", flush=True)
+    for clusters in (1, 4):
+        for spread in (0.0, 1.0):
+            ds = generate_synthetic(1000, 8, clusters=clusters, spread=spread, seed=0)
+            sha = hashlib.sha256(ds.vectors.tobytes()).hexdigest()
+            print(f"synthetic clusters={clusters} spread={spread:g}  {sha}", flush=True)
 
 
 if __name__ == "__main__":

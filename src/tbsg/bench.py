@@ -34,7 +34,6 @@ __all__ = [
     "BenchmarkRow",
     "run_benchmark",
     "write_report_csv",
-    "read_report_csv",
     "ScalingRow",
     "ScalingResult",
     "scaling_experiment",
@@ -64,6 +63,8 @@ class GroundTruth:
 def brute_force_groundtruth(dataset: Dataset, queries: Dataset, k: int) -> GroundTruth:
     """Exact top-k per query, as a full scan ranks it; ties broken by
     ascending id."""
+    if queries.count == 0:
+        raise ValueError("queries must be non-empty")
     if queries.dim != dataset.dim:
         raise ValueError(
             f"query dim {queries.dim} does not match dataset dim {dataset.dim}"
@@ -171,27 +172,6 @@ def write_report_csv(rows, path, metadata: dict[str, str] | None = None) -> None
             if i == 0:
                 writer.writerow(cells)
             writer.writerow(cells.values())
-
-
-def read_report_csv(path) -> tuple[list[BenchmarkRow], dict[str, str]]:
-    """Inverse of write_report_csv for search reports: after
-    write_report_csv(rows, path, metadata), read_report_csv(path) ==
-    (rows, metadata)."""
-    metadata: dict[str, str] = {}
-    body = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                metadata[key] = value
-            elif line:
-                body.append(line.split(","))
-    names = [f.name for f in fields(BenchmarkRow)]
-    if not body or body[0] != names or any(len(cells) != len(names) for cells in body):
-        raise ValueError(f"{path}: not a benchmark report CSV")
-    rows = [BenchmarkRow(int(l), *map(float, rest)) for l, *rest in body[1:]]
-    return rows, metadata
 
 
 @dataclass

@@ -200,10 +200,10 @@ def build_tbsg(dataset: Dataset, params: TbsgParams | None = None) -> TbsgIndex:
     if n < 1:
         raise ValueError("cannot build an index over an empty dataset")
     tree = build_cover_tree(dataset, base=params.base, seed=params.seed)
-    if n == 1:
-        return TbsgIndex(1, params.m, tree.root, [[]], params)
     kg = build_knng(dataset, params.K, exact=True)
-    static_r = kg.dists[:, 0].copy() if params.r_mode == "static" else None
+    # The nearest neighbour's distance, or 0 (the dynamic fallback) where a
+    # point has none.
+    static_r = kg.dists[:, :1].max(axis=1, initial=0.0) if params.r_mode == "static" else None
     strategy = StrategyParams(
         strategy="tbsg",
         mp=params.mp,

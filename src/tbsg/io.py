@@ -23,7 +23,6 @@ __all__ = [
     "read_ivecs",
     "write_ivecs",
     "generate_synthetic",
-    "generate_synthetic_labeled",
 ]
 
 
@@ -103,10 +102,10 @@ def _write_records(path: str | os.PathLike, payload: np.ndarray) -> None:
         fh.write(out.tobytes())
 
 
-def generate_synthetic_labeled(
+def generate_synthetic(
     n: int, d: int, clusters: int = 1, spread: float = 0.1, seed: int = 0
-) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Gaussian-blob data; returns (dataset, labels, centers).
+) -> Dataset:
+    """Seeded synthetic Dataset of `clusters` Gaussian blobs.
 
     Centers are drawn from a unit normal, points get per-cluster std `spread`,
     and the rows are shuffled so any prefix mixes all clusters. Uses the PCG64
@@ -122,12 +121,4 @@ def generate_synthetic_labeled(
     labels = np.arange(n, dtype=np.int64) % clusters
     points = centers[labels] + spread * rng.standard_normal((n, d))
     order = rng.permutation(n)
-    return Dataset(points[order].astype(np.float32)), labels[order], centers
-
-
-def generate_synthetic(
-    n: int, d: int, clusters: int = 1, spread: float = 0.1, seed: int = 0
-) -> Dataset:
-    """Seeded synthetic Dataset of `clusters` Gaussian blobs."""
-    dataset, _, _ = generate_synthetic_labeled(n, d, clusters, spread, seed)
-    return dataset
+    return Dataset(points[order].astype(np.float32))

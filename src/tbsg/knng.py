@@ -64,13 +64,16 @@ _SHORTLIST_PAD = 15
 # _SAMPLE_COLUMNS strided columns, chosen to leave about _SURVIVORS times
 # the shortlist width, before the partition. build_exact_knng at K=20, d=16
 # on prefixes of generate_synthetic(16000, 16, clusters=1, spread=1.0,
-# seed=7), 2 BLAS threads on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
-# OpenBLAS), median of three, full-row partition against the cut: 0.056 /
-# 0.084 s at 2k, 0.154-0.202 / 0.180-0.341 s at 4k, 0.246
-# / 0.227-0.308 s at 5k, 0.287 / 0.261 s at 5.5k, 0.383-0.440 / 0.367-0.371
-# s at 6k, 0.585 / 0.458 s at 8k and 1.99-3.19 / 1.37-1.42 s at 16k; on 100
-# clusters of spread 0.02, 0.179 / 0.228 s at 4k, 0.288 / 0.250 s at 5k and
-# 0.360 / 0.333 s at 6k. The cut wins from between 5k and 5.5k points on.
+# seed=7), float32 expansions on one BLAS thread, 2-core Xeon (Python
+# 3.11.7, NumPy 2.4.6 / OpenBLAS), medians of 7 or 9 alternating runs, full
+# row partition against the cut: 13 / 18 ms at 1k, 29 / 40 ms at 2k, 74-83
+# / 86-89 ms at 3k, 94-99 / 93-97 ms at 4k, 153 / 134 ms at 4.5k, 143-196 /
+# 124-171 ms at 5k, 183 / 138 ms at 5.5k, 231 / 195 ms at 6k, 342 / 233 ms
+# at 8k and 1.47 / 0.76 s at 16k; on 100 clusters of spread 0.02, 39 / 53
+# ms at 2k, 116-124 / 107-116 ms at 4k, 173-175 / 136-143 ms at 5k and 224
+# / 168 ms at 6k. The two meet near 4k points; the threshold stays at 5.5k,
+# where a sweep with two BLAS threads and float64 expansions put it, since
+# moving it changes build times and wants an end-to-end measurement.
 # Earlier, at 16k, for 256 / 1024 / 4096 sample columns with 2, 3 or 6
 # times the width: one Gaussian 0.93-0.96 / 0.91, 0.82, 0.97 / 0.91-1.14 s;
 # 100 clusters of spread 0.02 0.82-0.88 / 0.87-0.92 / 0.91-1.17 s.

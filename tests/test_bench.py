@@ -1,5 +1,8 @@
 """Groundtruth, recall, benchmark reports, scaling fits, and the bound check."""
 
+import csv
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,6 @@ from tbsg.bench import (
     brute_force_groundtruth,
     default_geometry_grid,
     prob_check,
-    read_report_csv,
     recall,
     run_benchmark,
     scaling_experiment,
@@ -58,6 +60,8 @@ class TestGroundTruth:
             brute_force_groundtruth(ds, ds, 11)
         with pytest.raises(ValueError, match="k must be"):
             brute_force_groundtruth(ds, ds, 0)
+        with pytest.raises(ValueError, match="queries must be non-empty"):
+            brute_force_groundtruth(ds, Dataset(np.empty((0, 4))), 3)
 
     def test_equality(self):
         a = GroundTruth(np.array([[1, 2]]))
@@ -145,14 +149,17 @@ class TestReportCsv:
         metadata = {"dataset": "synth", "k": "10", "odd value": "a=b,c"}
         path = tmp_path / "r.csv"
         write_report_csv(rows, path, metadata)
-        assert read_report_csv(path) == (rows, metadata)  # floats round-trip via repr
-
-    def test_rejects_non_report(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        for text in ("a,b,c\n1,2,3\n", "l,recall,qps,mean_distance_evals\n10,1.0,5.0\n"):
-            path.write_text(text)
-            with pytest.raises(ValueError, match="not a benchmark report"):
-                read_report_csv(path)
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw
+        lines = raw.decode("utf-8").splitlines()
+        assert lines[:3] == ["# dataset=synth", "# k=10", "# odd value=a=b,c"]
+        header, *body = csv.reader(lines[3:])
+        assert header == [f.name for f in fields(BenchmarkRow)]
+        assert len(body) == len(rows)
+        for cells, row in zip(body, rows):
+            assert int(cells[0]) == row.l
+            # csv writes floats by repr, so each cell reads back exactly.
+            assert [float(c) for c in cells[1:]] == [row.recall, row.qps, row.mean_distance_evals]
 
 
 class TestScalingExperiment:

@@ -2,11 +2,12 @@
 
 import csv
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from tbsg import TriangleGeom, cli
-from tbsg.bench import ProbCheckRow, ScalingRow, read_report_csv
+from tbsg.bench import BenchmarkRow, ProbCheckRow, ScalingRow
 from tbsg.cli import PROFILES, main
 from tbsg.io import read_fvecs
 
@@ -25,7 +26,7 @@ def _capture(monkeypatch, name):
 
 
 def _read_csv(path):
-    assert b"\r" not in path.read_bytes()
+    assert b"\r" not in Path(path).read_bytes()
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
 
@@ -79,12 +80,13 @@ class TestPipeline:
 
     def test_search_csv_is_a_report(self, pipeline):
         paths, _ = pipeline
-        rows, metadata = read_report_csv(paths["csv"])
-        assert [r.l for r in rows] == [10, 20]
-        assert all(0.0 <= r.recall <= 1.0 for r in rows)
-        assert all(r.qps > 0 for r in rows)
-        assert metadata["dataset"] == "base"
-        assert metadata["k"] == "10"
+        lines = _read_csv(paths["csv"])
+        assert lines[:3] == [["# dataset=base"], ["# index=graph.tbsg"], ["# k=10"]]
+        header, *body = lines[3:]
+        assert header == [f.name for f in fields(BenchmarkRow)]
+        assert [int(cells[0]) for cells in body] == [10, 20]
+        assert all(0.0 <= float(cells[1]) <= 1.0 for cells in body)
+        assert all(float(cells[2]) > 0 for cells in body)
 
     def test_empty_groundtruth_rejected(self, pipeline, tmp_path, capsys):
         paths, _ = pipeline
@@ -106,14 +108,14 @@ class TestPipeline:
                 "groundtruth", "--data", paths["data"], "--queries", paths["queries"],
                 "--k", str(k), "--out", out,
             ]) == 0
-        csv = str(tmp_path / "wide.csv")
+        wide_csv = tmp_path / "wide.csv"
         assert main([
             "search", "--index", paths["index"], "--data", paths["data"],
             "--queries", paths["queries"], "--gt", wide, "--k", "10",
-            "--pool-sizes", "10,20", "--reps", "1", "--csv", csv,
+            "--pool-sizes", "10,20", "--reps", "1", "--csv", str(wide_csv),
         ]) == 0
-        got = [r.recall for r in read_report_csv(csv)[0]]
-        assert got == [r.recall for r in read_report_csv(paths["csv"])[0]]
+        recall_column = [cells[1] for cells in _read_csv(wide_csv)[4:]]
+        assert recall_column == [cells[1] for cells in _read_csv(paths["csv"])[4:]]
         capsys.readouterr()
         code = main([
             "search", "--index", paths["index"], "--data", paths["data"],
@@ -206,6 +208,17 @@ class TestDataErrors:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_queries_named(self, pipeline, tmp_path, capsys):
+        paths, _ = pipeline
+        empty = tmp_path / "empty.fvecs"
+        empty.write_bytes(b"")
+        code = main([
+            "groundtruth", "--data", paths["data"], "--queries", str(empty),
+            "--k", "5", "--out", str(tmp_path / "gt.ivecs"),
+        ])
+        assert code == 1
+        assert "queries must be non-empty" in capsys.readouterr().err
 
 
 class TestProbCheck:

@@ -66,8 +66,8 @@ class TestBuild:
         assert [a.tolist() for a in index.adjacency] == [[1], [0]]
 
     def test_single_point(self):
-        # One point has no KNNG row, so build_tbsg returns before the static
-        # radius would read one.
+        # One point has an empty KNNG row: the static radius falls back to 0,
+        # the dynamic rule, and the pool to prune is empty.
         ds = Dataset(np.zeros((1, 3)))
         for r_mode in ("dynamic", "static"):
             index = build_tbsg(ds, TbsgParams(r_mode=r_mode))

@@ -10,7 +10,6 @@ from tbsg import (
     Dataset,
     FormatError,
     generate_synthetic,
-    generate_synthetic_labeled,
     read_fvecs,
     read_ivecs,
     write_fvecs,
@@ -176,32 +175,28 @@ class TestSyntheticGenerator:
         assert a == b
         assert a != c
 
-    def test_wrapper_matches_labeled(self):
-        ds, _, _ = generate_synthetic_labeled(50, 4, clusters=2, seed=1)
-        assert generate_synthetic(50, 4, clusters=2, seed=1) == ds
-
     def test_shapes_and_label_balance(self):
         n, clusters = 103, 4
-        ds, labels, centers = generate_synthetic_labeled(n, 7, clusters=clusters, seed=2)
+        ds = generate_synthetic(n, 7, clusters=clusters, spread=0.0, seed=2)
         assert (ds.count, ds.dim) == (n, 7)
-        assert labels.shape == (n,)
-        assert centers.shape == (clusters, 7)
-        counts = np.bincount(labels, minlength=clusters)
+        centers, counts = np.unique(ds.vectors, axis=0, return_counts=True)
         # Round-robin assignment before the shuffle: sizes differ by at most 1.
+        assert centers.shape == (clusters, 7)
         assert counts.max() - counts.min() <= 1
-        assert counts.sum() == n
 
     def test_zero_spread_pins_points_to_centers(self):
-        ds, labels, centers = generate_synthetic_labeled(30, 5, clusters=3, spread=0.0, seed=3)
+        # The centers are the seed's first unit-normal draws.
+        ds = generate_synthetic(30, 5, clusters=3, spread=0.0, seed=3)
+        centers = np.random.Generator(np.random.PCG64(3)).standard_normal((3, 5))
         np.testing.assert_array_equal(
-            ds.vectors, centers[labels].astype(np.float32)
+            np.unique(ds.vectors, axis=0), np.unique(centers.astype(np.float32), axis=0)
         )
 
     def test_spread_scales_dispersion(self):
-        tight, _, c_t = generate_synthetic_labeled(400, 3, clusters=1, spread=0.1, seed=6)
-        loose, _, c_l = generate_synthetic_labeled(400, 3, clusters=1, spread=1.0, seed=6)
-        rms_tight = np.sqrt(np.mean((tight.vectors64 - c_t[0]) ** 2))
-        rms_loose = np.sqrt(np.mean((loose.vectors64 - c_l[0]) ** 2))
+        tight = generate_synthetic(400, 3, clusters=1, spread=0.1, seed=6).vectors64
+        loose = generate_synthetic(400, 3, clusters=1, spread=1.0, seed=6).vectors64
+        rms_tight = np.sqrt(np.mean((tight - tight.mean(axis=0)) ** 2))
+        rms_loose = np.sqrt(np.mean((loose - loose.mean(axis=0)) ** 2))
         assert rms_tight == pytest.approx(0.1, rel=0.15)
         assert rms_loose == pytest.approx(1.0, rel=0.15)
 
