@@ -27,9 +27,13 @@ parent. The outputs are:
   which pin write_report_csv's format;
 - save_index bytes of build_tbsg on 1, 2 and 3 points in both radius modes,
   where the KNNG rows hold 0, 1 and 2 neighbours;
-- generate_synthetic's bytes for 1 and 4 clusters at spread 0 and 1.
+- generate_synthetic's bytes for 1 and 4 clusters at spread 0 and 1;
+- the ids and evals search_knn_with_stats returns for each perfbench
+  workload's seed-1 queries at pool sizes 10, 20 and 60 (k = 10), on the
+  workload's index in its profile, so a change to the search path can be
+  diffed across checkouts.
 
-The whole run took 22-24 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
+The whole run took 26-27 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
 OpenBLAS).
 """
 
@@ -47,11 +51,12 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from tracing import Tracer  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import K_RESULTS, WORKLOADS  # noqa: E402
 
 import tbsg.index  # noqa: E402
 from tbsg import (  # noqa: E402
     Dataset,
+    SearchParams,
     StrategyParams,
     TbsgParams,
     build_cover_tree,
@@ -60,6 +65,7 @@ from tbsg import (  # noqa: E402
     build_tbsg,
     generate_synthetic,
     save_index,
+    search_knn_with_stats,
 )
 from tbsg.bench import prob_check, write_report_csv  # noqa: E402
 from tbsg.pruning import _select_from_arrays  # noqa: E402
@@ -147,6 +153,16 @@ def main() -> None:
             ds = generate_synthetic(1000, 8, clusters=clusters, spread=spread, seed=0)
             sha = hashlib.sha256(ds.vectors.tobytes()).hexdigest()
             print(f"synthetic clusters={clusters} spread={spread:g}  {sha}", flush=True)
+    for name, wl in WORKLOADS.items():
+        base, queries = wl.make(seed=1)
+        ds = Dataset(base)
+        index = build_tbsg(ds, TbsgParams(**wl.build_params()))
+        for l in (10, 20, 60):
+            sp = SearchParams(l=l, k=K_RESULTS)
+            ids, evals = zip(*(search_knn_with_stats(index, ds, q, sp) for q in queries))
+            for part, values in (("ids", ids), ("evals", evals)):
+                sha = hashlib.sha256(np.asarray(values, dtype=np.int64).tobytes()).hexdigest()
+                print(f"search {name} l={l} {part}  {sha}", flush=True)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 Vectors are held as a contiguous float32 matrix (row i is point i). Every
 distance that is kept or returned is computed in float64, so comparisons
-are stable. float32 arithmetic (pairwise_sq32, the exact KNNG's expansion
-matmul) only screens: its callers act on a float32 value only where a
-certified rounding margin shows the float64 result would decide the same,
-and compute the rest in float64.
+are stable. float32 arithmetic (pairwise_sq over the float32 rows, the
+exact KNNG's expansion matmul) only screens: its callers act on a float32
+value only where a certified rounding margin shows the float64 result would
+decide the same, and compute the rest in float64.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ __all__ = ["Dataset", "l2_distance"]
 
 # float64 values (512 KB) per block of batch-distance work, so that each
 # block's gathered rows and their difference stay in a 2 MiB L2 cache:
-# pairwise_distances' pair chunks, the exact KNNG's re-rank tiles and
-# pruning's candidates per chunk of nodes.
+# pairwise_sq's pair chunks, the exact KNNG's re-rank tiles and pruning's
+# candidates per chunk of nodes.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -124,35 +124,28 @@ def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
     return _norms(rows)
 
 
-def pairwise_distances(dataset: Dataset, left_ids, right_ids) -> np.ndarray:
-    """Elementwise L2 distances between paired point ids (equal-length
-    arrays), bit for bit those of l2_batch over the gathered rows.
+def pairwise_sq(x: np.ndarray, left_ids, right_ids) -> np.ndarray:
+    """Elementwise squared L2 distances between paired rows of x (equal-length
+    id arrays), computed and returned in x's dtype: float64 rows for every
+    exact distance, float32 rows for pruning's screen.
 
-    Each chunk's rows are gathered by take, and the right rows are subtracted
-    in place from the left: two gathered operands and no third array for
-    their difference."""
-    x = dataset.vectors64
-    out = np.empty(len(left_ids), dtype=np.float64)
-    chunk = max(1, _BLOCK_VALUES // max(dataset.dim, 1))
-    for i in range(0, out.size, chunk):
-        diff = x.take(left_ids[i : i + chunk], axis=0)
-        diff -= x.take(right_ids[i : i + chunk], axis=0)
-        out[i : i + chunk] = _norms(diff)
-    return out
-
-
-def pairwise_sq32(dataset: Dataset, left_ids, right_ids) -> np.ndarray:
-    """Elementwise squared L2 distances between paired point ids, computed
-    and returned in float32: pairwise_distances' gather and in-place
-    subtract over the float32 rows, in chunks of the same 512 KB, without
-    the square root. Rounded as any float32 sum of squares, each value is
-    within a relative gamma_{dim+2} of the exact squared distance while
-    every nonzero square stays a normal number."""
-    x = dataset.vectors
-    out = np.empty(len(left_ids), dtype=np.float32)
-    chunk = max(1, 2 * _BLOCK_VALUES // max(dataset.dim, 1))
+    Each chunk of 512 KB of rows is gathered by take, and the right rows are
+    subtracted in place from the left: two gathered operands and no third
+    array for their difference. Over float64 rows the square roots are bit
+    for bit those of l2_batch over the gathered rows. Over float32 rows each
+    value, rounded as any float32 sum of squares, is within a relative
+    gamma_{dim+2} of the exact squared distance while every nonzero square
+    stays a normal number."""
+    out = np.empty(len(left_ids), dtype=x.dtype)
+    chunk = max(1, _BLOCK_VALUES * 8 // (x.itemsize * max(x.shape[1], 1)))
     for i in range(0, out.size, chunk):
         diff = x.take(left_ids[i : i + chunk], axis=0)
         diff -= x.take(right_ids[i : i + chunk], axis=0)
         np.einsum("ij,ij->i", diff, diff, out=out[i : i + chunk])
     return out
+
+
+def pairwise_distances(dataset: Dataset, left_ids, right_ids) -> np.ndarray:
+    """Elementwise L2 distances between paired point ids: the square roots
+    of pairwise_sq over the float64 rows."""
+    return np.sqrt(pairwise_sq(dataset.vectors64, left_ids, right_ids))

@@ -253,9 +253,9 @@ def search_knn_with_stats(
 
     The enter point is always expanded first, so it is measured in the same
     distances_to_many call as its unseen neighbours (a self-edge is dropped)
-    and enters the pool already visited: one kernel call per expansion that
-    finds unseen neighbours. A local flag records once the pool holds l
-    entries; from then on each insertion pops the last entry.
+    and enters the pool already visited: one kernel call per expansion, an
+    empty one where it finds nothing unseen. A local flag records once the
+    pool holds l entries; from then on each insertion pops the last entry.
     """
     if dataset.count != index.n:
         raise ValueError(f"dataset has {dataset.count} points, index has {index.n}")
@@ -302,11 +302,9 @@ def search_knn_with_stats(
         u = pool[cur][1]
         nbrs = neighbors[offsets[u] : offsets[u + 1]]
         fresh = nbrs[~seen[nbrs]]
-        # With nothing fresh, `entries` stays the exhausted iterator.
-        if fresh.size:
-            seen[fresh] = True
-            evals += fresh.size
-            entries = zip(distances_to_many(dataset, q, ids=fresh).tolist(), fresh.tolist())
+        seen[fresh] = True
+        evals += fresh.size
+        entries = zip(distances_to_many(dataset, q, ids=fresh).tolist(), fresh.tolist())
     return [v for _, v in pool[: sp.k]], evals
 
 

@@ -47,6 +47,11 @@ _MAX_CANDIDATES = 60
 # Stop refining once a round changes fewer than this fraction of list slots.
 _CONVERGENCE_DELTA = 0.001
 
+# Fewest entries an NN-descent list holds, n - 1 permitting. Lists of one
+# entry give round 1 pools of one new entry and no old one, so the join
+# proposes no pair and the random lists come back.
+_MIN_LIST = 10
+
 # Proposed list entries (two per proposed pair) merged per node-range shard
 # of an NN-descent round.
 _SHARD_ENTRIES = 4_000_000
@@ -584,9 +589,10 @@ def build_knng(
     NN-descent starts from random lists and repeatedly joins each node's
     recently-added (new) entries against its pools, keeping the K best per
     node, until `iterations` rounds have run or an iteration changes almost
-    nothing. Each round's join pools hold up to min(K, _MAX_CANDIDATES)
-    entries per node. iterations and seed act only on NN-descent;
-    build_tbsg passes exact=True.
+    nothing. The lists hold L = min(max(K, _MIN_LIST), n - 1) entries, of
+    which the first K are returned, and each round's join pools hold up to
+    min(L, _MAX_CANDIDATES) entries per node. iterations and seed act only
+    on NN-descent; build_tbsg passes exact=True.
 
     NN-descent's memory is unbounded, as a round holds every proposed pair.
     At K=20 with 10 rounds on generate_synthetic(n, 16, seed=7) its peak
@@ -601,20 +607,21 @@ def build_knng(
     n = dataset.count
     if exact or n <= K + 1:
         return build_exact_knng(dataset, K)
+    L = min(max(K, _MIN_LIST), n - 1)
     rng = np.random.Generator(np.random.PCG64(seed))
-    ids = _random_neighbor_init(rng, n, K)
-    rows = np.repeat(np.arange(n, dtype=np.int64), K)
-    dists = pairwise_distances(dataset, rows, ids.ravel()).reshape(n, K)
+    ids = _random_neighbor_init(rng, n, L)
+    rows = np.repeat(np.arange(n, dtype=np.int64), L)
+    dists = pairwise_distances(dataset, rows, ids.ravel()).reshape(n, L)
     order = np.lexsort((ids, dists), axis=1)
     ids = np.take_along_axis(ids, order, axis=1)
     dists = np.take_along_axis(dists, order, axis=1)
-    flags = np.ones((n, K), dtype=bool)
-    cap = min(K, _MAX_CANDIDATES)
+    flags = np.ones((n, L), dtype=bool)
+    cap = min(L, _MAX_CANDIDATES)
     for _ in range(iterations):
         new_rect, old_rect = _sample_candidates(rng, ids, flags, cap)
         pa, pb = _local_join_pairs(new_rect, old_rect, n)
         pd = pairwise_distances(dataset, pa, pb)
         changed = _apply_updates(ids, dists, flags, pa, pb, pd)
-        if changed <= _CONVERGENCE_DELTA * n * K:
+        if changed <= _CONVERGENCE_DELTA * n * L:
             break
-    return KnnGraph(ids, dists, K)
+    return KnnGraph(ids[:, :K], dists[:, :K], K)

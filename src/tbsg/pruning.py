@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_VALUES, Dataset, pairwise_distances, pairwise_sq32
+from .core import _BLOCK_VALUES, Dataset, pairwise_distances, pairwise_sq
 from .knng import _run_starts
 
 __all__ = [
@@ -317,7 +317,7 @@ def _select_from_arrays(
     into one mask over the whole pool, so its nonzero positions come back
     ascending and each node's kept ids stay in distance order.
 
-    A round measures its pairs in float32, by one pairwise_sq32 call, and
+    A round measures its pairs in float32, by one pairwise_sq call, and
     reads each rule as a threshold T on d_ve^2: d_se^2 for rng;
     d_sv^2 + d_se^2 - 2 d_sv d_se cos_threshold for nssg; for tbsg d_se^2
     and d_se^2 - 2 d_sv r cos(pi (1 - mp)), which every RNG-blocked pair
@@ -366,7 +366,7 @@ def _select_from_arrays(
             if slack is None:
                 blocked, decided = np.zeros((2, rest.size), dtype=bool)
             else:
-                sq = pairwise_sq32(dataset, ids[v], ids[rest])
+                sq = pairwise_sq(dataset.vectors, ids[v], ids[rest])
                 blocked, decided = _float32_blocked(sq, d_sv, d_se, r, params, cos_threshold, slack)
             u = np.flatnonzero(~decided)
             if u.size:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbsg import Dataset, l2_distance
-from tbsg.core import distances_to_many, l2_batch, pairwise_distances
+from tbsg.core import distances_to_many, l2_batch, pairwise_distances, pairwise_sq
 
 
 def _vectors(dim, max_side=1e6):
@@ -189,6 +189,35 @@ class TestBatchKernels:
         left, right = rng.integers(0, 10, size=(2, 4500))
         batch = pairwise_distances(Dataset(x), left, right)
         assert batch.tolist() == [l2_distance(x[a], x[b]) for a, b in zip(left, right)]
+
+    @pytest.mark.parametrize("dim", [7, 1024])
+    def test_pairwise_sq_float32_matches_einsum_over_gathered_rows(self, dim):
+        # Float32 rows give float32 sums. At dim 1024 a chunk holds 128
+        # float32 pairs, so 4500 pairs span 36.
+        rng = np.random.default_rng(dim)
+        x = Dataset(rng.normal(size=(10, dim))).vectors
+        left, right = rng.integers(0, 10, size=(2, 4500))
+        diff = x[left] - x[right]
+        sq = pairwise_sq(x, left, right)
+        assert sq.dtype == np.float32
+        assert sq.tobytes() == np.einsum("ij,ij->i", diff, diff).tobytes()
+
+    @pytest.mark.parametrize("dim", [7, 1024])
+    def test_pairwise_sq_float64_roots_match_l2_batch_bitwise(self, dim):
+        # At dim 1024 a chunk holds 64 float64 pairs, so 4500 pairs span 71.
+        rng = np.random.default_rng(dim)
+        x = Dataset(rng.normal(size=(10, dim))).vectors64
+        left, right = rng.integers(0, 10, size=(2, 4500))
+        sq = pairwise_sq(x, left, right)
+        assert sq.dtype == np.float64
+        assert np.sqrt(sq).tobytes() == l2_batch(x[left], x[right]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pairwise_sq_of_no_pairs_is_empty(self, dtype):
+        x = self.ds.vectors.astype(dtype)
+        none = np.empty(0, dtype=np.int64)
+        sq = pairwise_sq(x, none, none)
+        assert sq.shape == (0,) and sq.dtype == dtype
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 16, 32, 100, 128, 960])
     def test_broadcast_shapes_match_scalar_bitwise(self, dim):

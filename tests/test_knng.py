@@ -490,25 +490,18 @@ class TestNnDescent:
         assert not flags.any()
         assert np.all(old_rect == -1)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_round_proposing_nothing_stops_the_build(self, monkeypatch, seed):
-        # At K=1 round 1's pools hold one new entry each and no old one, so
-        # the join proposes no pair, no slot changes and the build stops.
-        ds = generate_synthetic(300, 8, seed=seed)
-        proposed = []
-        real = knng_module._local_join_pairs
-
-        def spy(*args):
-            pairs = real(*args)
-            proposed.append(pairs[0].size)
-            return pairs
-
-        monkeypatch.setattr(knng_module, "_local_join_pairs", spy)
-        once = build_knng(ds, 1, iterations=1, seed=seed)
-        more = build_knng(ds, 1, iterations=5, seed=seed)
-        assert proposed == [0, 0]
-        assert np.array_equal(once.ids, more.ids)
-        assert np.array_equal(once.dists, more.dists)
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_small_k_reads_the_first_columns_of_floor_length_lists(self, K):
+        # With lists of K entries, K=1's pools would hold one new entry and
+        # no old one, the join would propose no pair and recall would read
+        # 0.0 on criterion 08's set. Lists of _MIN_LIST entries run the
+        # descent K = _MIN_LIST runs, and K < _MIN_LIST reads its columns.
+        ds = generate_synthetic(2000, 16, clusters=4, spread=1.0, seed=8)
+        approx = build_knng(ds, K, iterations=10, seed=8)
+        floor = build_knng(ds, knng_module._MIN_LIST, iterations=10, seed=8)
+        assert np.array_equal(approx.ids, floor.ids[:, :K])
+        assert np.array_equal(approx.dists, floor.dists[:, :K])
+        assert knng_recall(approx, build_exact_knng(ds, K)) >= 0.95
 
 
 class TestBuilderChoice:

@@ -22,7 +22,7 @@ from tbsg import (
     monte_carlo_prob,
     select_neighbors,
 )
-from tbsg.core import pairwise_distances, pairwise_sq32
+from tbsg.core import pairwise_distances, pairwise_sq
 from tbsg.pruning import analytic_disk_prob, _bisector_offset
 
 
@@ -482,7 +482,7 @@ class TestChunkBudget:
 class TestBlockBound:
     def test_no_kernel_call_exceeds_one_block(self, monkeypatch):
         # Criterion 09's 4k prefix prunes 127k candidates: two chunks of
-        # at most _BLOCK_VALUES candidates, so no round hands pairwise_sq32
+        # at most _BLOCK_VALUES candidates, so no round hands pairwise_sq
         # more pairs than one block, and the kept positions are those of one
         # chunk holding every node.
         ds = Dataset(generate_synthetic(16_000, 16, clusters=1, spread=1.0, seed=7).vectors[:4000])
@@ -499,11 +499,11 @@ class TestBlockBound:
         assert cand_ids.size > tbsg.core._BLOCK_VALUES
         calls32 = []
 
-        def spy32(dataset, a, b):
+        def spy32(x, a, b):
             calls32.append(len(a))
-            return pairwise_sq32(dataset, a, b)
+            return pairwise_sq(x, a, b)
 
-        monkeypatch.setattr(tbsg.pruning, "pairwise_sq32", spy32)
+        monkeypatch.setattr(tbsg.pruning, "pairwise_sq", spy32)
         kept = select(offsets, cand_ids, cand_d, params, ds)
         assert 0 < max(calls32) <= tbsg.core._BLOCK_VALUES
         monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", 1 << 40)
@@ -518,7 +518,7 @@ class TestRounds:
         # keeps each node's first alive candidate without measuring it
         # against the rest: at m = 1 no pair distance is computed, and a
         # chunk whose nodes reach m makes at most m - 1 calls of each
-        # kernel, the float32 pairwise_sq32 and the exact pairwise_distances.
+        # kernel, the float32 pairwise_sq and the exact pairwise_distances.
         # 2000 candidates make chunks of 100 nodes of 20 candidates.
         ds = generate_synthetic(300, 8, clusters=2, spread=1.0, seed=3)
         kg = build_knng(ds, 20, exact=True)
@@ -531,12 +531,12 @@ class TestRounds:
             calls.append(len(a))
             return pairwise_distances(dataset, a, b)
 
-        def spy32(dataset, a, b):
+        def spy32(x, a, b):
             calls32.append(len(a))
-            return pairwise_sq32(dataset, a, b)
+            return pairwise_sq(x, a, b)
 
         monkeypatch.setattr(tbsg.pruning, "pairwise_distances", spy)
-        monkeypatch.setattr(tbsg.pruning, "pairwise_sq32", spy32)
+        monkeypatch.setattr(tbsg.pruning, "pairwise_sq", spy32)
         monkeypatch.setattr(tbsg.pruning, "_BLOCK_VALUES", candidates)
         params = StrategyParams(strategy="rng", m=m)
         kept = tbsg.pruning._select_from_arrays(
