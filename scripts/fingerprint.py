@@ -29,9 +29,11 @@ parent. The outputs are:
   where the KNNG rows hold 0, 1 and 2 neighbours;
 - generate_synthetic's bytes for 1 and 4 clusters at spread 0 and 1;
 - the ids and evals search_knn_with_stats returns for each perfbench
-  workload's seed-1 queries at pool sizes 10, 20 and 60 (k = 10), on the
-  workload's index in its profile, so a change to the search path can be
-  diffed across checkouts.
+  workload's seed-1 queries at pool sizes 1, 2, 10, 20 and 60 (k = 10, or
+  l where l is smaller), on the workload's index in its profile, so a
+  change to the search path can be diffed across checkouts; at l = 1 and 2
+  the pool is full from its first entry, so every insertion meets the
+  pool's last slot.
 
 The whole run took 26-27 s on a 2-core Xeon (Python 3.11.7, NumPy 2.4.6 /
 OpenBLAS).
@@ -157,8 +159,8 @@ def main() -> None:
         base, queries = wl.make(seed=1)
         ds = Dataset(base)
         index = build_tbsg(ds, TbsgParams(**wl.build_params()))
-        for l in (10, 20, 60):
-            sp = SearchParams(l=l, k=K_RESULTS)
+        for l in (1, 2, 10, 20, 60):
+            sp = SearchParams(l=l, k=min(l, K_RESULTS))
             ids, evals = zip(*(search_knn_with_stats(index, ds, q, sp) for q in queries))
             for part, values in (("ids", ids), ("evals", evals)):
                 sha = hashlib.sha256(np.asarray(values, dtype=np.int64).tobytes()).hexdigest()

@@ -1,6 +1,7 @@
 """Print the median seconds of each build_tbsg stage over several builds,
-the median milliseconds of saving and loading the index built, and
-pruning's median microseconds per candidate.
+the median milliseconds of saving and loading the index built, pruning's
+median microseconds per candidate, and search's microseconds per query and
+per expansion.
 
     python3 scripts/stage_times.py [--builds 5] [--sets desk,c09-16k]
 
@@ -18,6 +19,15 @@ workload's build profile, and the 2k and 16k prefixes of criterion 09's set
 seed 3). The first line names the machine, since seconds depend on it,
 with the BLAS thread count the library's guard reads outside its calls
 (the exact top-k's matmuls run on one).
+
+A second table times search_knn_with_stats on each selected perfbench
+workload's index, one query at a time, at a pool size near its recall-0.99
+point (SEARCH_POOLS): "us/query" is the median over SEARCH_SWEEPS sweeps of
+the seed-1 queries perfbench's timed sweeps use (the first TIMED_QUERIES,
+k = 10), "exp/query" the expansions per query, counted in one traced sweep
+as the calls of tbsg.index.distances_to_many (one per expansion), and
+"us/exp" the first over the second. Running the script in two checkouts
+gives before and after numbers from one command.
 """
 
 from __future__ import annotations
@@ -37,12 +47,22 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from harness import TIMED_QUERIES  # noqa: E402
 from tracing import Tracer  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import K_RESULTS, WORKLOADS  # noqa: E402
 
 import tbsg.index  # noqa: E402
 import tbsg.knng  # noqa: E402
-from tbsg import Dataset, TbsgParams, build_tbsg, generate_synthetic, load_index, save_index  # noqa: E402
+from tbsg import (  # noqa: E402
+    Dataset,
+    SearchParams,
+    TbsgParams,
+    build_tbsg,
+    generate_synthetic,
+    load_index,
+    save_index,
+    search_knn_with_stats,
+)
 
 STAGES = {
     "build_cover_tree": "cover_tree",
@@ -51,6 +71,8 @@ STAGES = {
     "_select_from_arrays": "pruning",
 }
 IO_REPEATS = 20  # save_index and load_index calls per build; each takes about 0.1-1 ms
+SEARCH_POOLS = {"desk": 15, "search32": 60, "sift128": 12}
+SEARCH_SWEEPS = 7  # a sweep takes about 0.05-0.2 s
 
 
 def machine() -> str:
@@ -114,6 +136,29 @@ def timed_build(dataset: Dataset, params: TbsgParams, path: Path) -> dict:
     return spent
 
 
+def timed_search(dataset: Dataset, params: TbsgParams, queries: np.ndarray, l: int) -> tuple:
+    """Median microseconds per query over SEARCH_SWEEPS sweeps of `queries`
+    at pool size l, and the expansions per query of one traced sweep run
+    before them."""
+    index = build_tbsg(dataset, params)
+    sp = SearchParams(l=l, k=K_RESULTS)
+
+    def sweep() -> float:
+        t0 = time.perf_counter()
+        for q in queries:
+            search_knn_with_stats(index, dataset, q, sp)
+        return time.perf_counter() - t0
+
+    tracer = Tracer()
+    tracer.wrap(tbsg.index, "distances_to_many", "distances_to_many")
+    try:
+        sweep()
+    finally:
+        tracer.unwrap()
+    seconds = statistics.median(sweep() for _ in range(SEARCH_SWEEPS))
+    return seconds / len(queries) * 1e6, tracer.count("distances_to_many") / len(queries)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--builds", type=int, default=5, help="builds per set (default 5)")
@@ -138,6 +183,19 @@ def main() -> None:
             runs = [timed_build(*available[name], path) for _ in range(args.builds)]
             medians = [statistics.median(r[c] for r in runs) for c in columns]
             print(f"{name:<10}" + "".join(f"{m:>11.4f}" for m in medians), flush=True)
+    searched = [name for name in names if name in SEARCH_POOLS]
+    if searched:
+        print(
+            f"# search: median of {SEARCH_SWEEPS} sweeps over the first {TIMED_QUERIES} seed-1 "
+            f"queries, k={K_RESULTS}; us per query and per expansion"
+        )
+        print(f"{'set':<10}" + "".join(f"{c:>11}" for c in ("l", "us/query", "exp/query", "us/exp")))
+        for name in searched:
+            l = SEARCH_POOLS[name]
+            queries = WORKLOADS[name].make(seed=1)[1][:TIMED_QUERIES]
+            us, expansions = timed_search(*available[name], queries, l)
+            row = "".join(f"{v:>11.4f}" for v in (us, expansions, us / expansions))
+            print(f"{name:<10}{l:>11}{row}", flush=True)
 
 
 if __name__ == "__main__":

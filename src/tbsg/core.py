@@ -97,11 +97,7 @@ def l2_distance(a, b) -> float:
 def l2_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L2 distances between float64 arrays a and b over the last axis,
     broadcasting the leading ones: the one batch reduction every module uses."""
-    return _norms(a - b)
-
-
-def _norms(diff: np.ndarray) -> np.ndarray:
-    """L2 norms of diff over its last axis: l2_batch's reduction."""
+    diff = a - b
     return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
@@ -113,15 +109,18 @@ def distances_to_many(dataset: Dataset, query, ids=None) -> np.ndarray:
     `ids` (or with the full dataset when ids is None).
     """
     q = np.asarray(query, dtype=np.float64)
+    x = dataset.vectors64
     # take gathers the same rows as fancy indexing at about a third of its
     # fixed cost, which a search pays once per expansion.
-    rows = dataset.vectors64 if ids is None else dataset.vectors64.take(ids, axis=0)
-    if q.shape != (dataset.dim,) and q.shape != rows.shape:
-        raise ValueError(f"query dimension {q.shape} does not match dataset dim {dataset.dim}")
+    rows = x if ids is None else x.take(ids, axis=0)
+    if q.shape != x.shape[1:] and q.shape != rows.shape:
+        raise ValueError(f"query dimension {q.shape} does not match dataset dim {x.shape[1]}")
     if ids is None:  # vectors64 is read-only
         return l2_batch(rows, q)
     rows -= q  # take's fresh rows: l2_batch's subtract, bit for bit, in place
-    return _norms(rows)
+    # l2_batch's reduction with its subscripts spelled out for 2-D rows: the
+    # same bits at a lower fixed cost.
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def pairwise_sq(x: np.ndarray, left_ids, right_ids) -> np.ndarray:

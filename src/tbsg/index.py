@@ -254,8 +254,11 @@ def search_knn_with_stats(
     The enter point is always expanded first, so it is measured in the same
     distances_to_many call as its unseen neighbours (a self-edge is dropped)
     and enters the pool already visited: one kernel call per expansion, an
-    empty one where it finds nothing unseen. A local flag records once the
-    pool holds l entries; from then on each insertion pops the last entry.
+    empty one where it finds nothing unseen. An unseen mask over the nodes
+    filters each neighbour list with one gather. A local flag records once
+    the pool holds l entries; from then on each insertion pops the last
+    entry, which a local copy holds, so a neighbour no closer than it costs
+    one tuple compare.
     """
     if dataset.count != index.n:
         raise ValueError(f"dataset has {dataset.count} points, index has {index.n}")
@@ -267,22 +270,23 @@ def search_knn_with_stats(
         raise ValueError("query contains NaN or Inf values")
     offsets, neighbors, l = index.offsets, index.neighbors, sp.l
     ep = int(index.enter_point)
-    seen = np.zeros(index.n, dtype=bool)
-    seen[ep] = True
+    unseen = np.ones(index.n, dtype=bool)
+    unseen[ep] = False
     nbrs = neighbors[offsets[ep] : offsets[ep + 1]]
-    fresh = nbrs[~seen[nbrs]]
-    seen[fresh] = True
+    fresh = nbrs[unseen[nbrs]]
+    unseen[fresh] = False
     first = np.concatenate(([ep], fresh))
     entries = zip(distances_to_many(dataset, q, ids=first).tolist(), first.tolist())
     pool = [next(entries)]
     visited = [True]
     full = l == 1
+    worst = pool[-1]
     evals = first.size
     cur = 0
     while True:
         low = cur + 1
         for entry in entries:
-            if full and entry >= pool[-1]:
+            if full and entry >= worst:
                 continue
             pos = bisect_left(pool, entry)
             pool.insert(pos, entry)
@@ -292,6 +296,7 @@ def search_knn_with_stats(
                 visited.pop()
             else:
                 full = len(pool) == l
+            worst = pool[-1]
             if pos < low:
                 low = pos
         try:
@@ -301,8 +306,8 @@ def search_knn_with_stats(
         visited[cur] = True
         u = pool[cur][1]
         nbrs = neighbors[offsets[u] : offsets[u + 1]]
-        fresh = nbrs[~seen[nbrs]]
-        seen[fresh] = True
+        fresh = nbrs[unseen[nbrs]]
+        unseen[fresh] = False
         evals += fresh.size
         entries = zip(distances_to_many(dataset, q, ids=fresh).tolist(), fresh.tolist())
     return [v for _, v in pool[: sp.k]], evals

@@ -150,18 +150,31 @@ class TestBatchKernels:
         batch = distances_to_many(self.ds, queries, ids=ids)
         assert batch.tolist() == [l2_distance(x[i], q) for i, q in zip(ids, queries)]
 
-    def test_distances_to_many_gathered_rows_match_l2_batch_bitwise(self):
-        # The gathered rows take the query's subtraction in place; neither
-        # the query nor the dataset may change, and the bits must not either.
-        x = self.ds.vectors64
-        ids = np.array([4, 0, 29, 4, 11])
-        per_row = x[[1, 2, 3, 5, 8]] * 0.75
-        for query in (self.q, per_row):
-            before = query.copy()
-            batch = distances_to_many(self.ds, query, ids=ids)
-            assert batch.tobytes() == l2_batch(x[ids], query).tobytes()
-            assert np.array_equal(query, before)
-        assert np.array_equal(self.ds.vectors64, self.ds.vectors.astype(np.float64))
+    @pytest.mark.parametrize("dim", [1, 7, 16, 32, 128, 960])
+    def test_distances_to_many_gathered_rows_match_l2_batch_bitwise(self, dim):
+        # The gathered rows take the query's subtraction in place and are
+        # reduced with 2-D einsum subscripts, whose inner loop changes with
+        # the row length. Neither the query nor the dataset may change, and
+        # the bits must be l2_batch's over the same rows, for one query and
+        # for one query per row alike.
+        rng = np.random.default_rng(dim)
+        ds = Dataset(rng.normal(size=(30, dim)) * 37.0)
+        x = ds.vectors64
+        for ids in (
+            np.array([4, 0, 29, 4, 11]),
+            [4, 0, 29, 4, 11],
+            [7, 7, 7],
+            np.arange(30),
+            np.empty(0, dtype=np.int64),
+        ):
+            per_row = x[rng.integers(0, 30, len(ids))] * 0.75
+            for query in (rng.normal(size=dim), per_row):
+                before = query.copy()
+                batch = distances_to_many(ds, query, ids=ids)
+                assert batch.dtype == np.float64 and batch.shape == (len(ids),)
+                assert batch.tobytes() == l2_batch(x[ids], query).tobytes()
+                assert np.array_equal(query, before)
+        assert np.array_equal(ds.vectors64, ds.vectors.astype(np.float64))
 
     def test_distances_to_many_rejects_bad_query(self):
         with pytest.raises(ValueError, match="does not match"):

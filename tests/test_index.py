@@ -362,6 +362,21 @@ class TestSearchMatchesLiteral:
             got = search_knn_with_stats(index, ds, q, SearchParams(l=l, k=k))
             assert got == (literal_search(index, ds, q, l, k), literal_evals(index, ds, q, l))
 
+    @pytest.mark.parametrize("l,expected", [(1, [0]), (2, [0, 1])])
+    def test_ties_at_the_pools_last_slot(self, l, expected):
+        # Points on a line around the query meet the pool's last entry at
+        # its own distance. A lower id must enter: 4 in place of 5 in the
+        # first batch at l=2, 2 in place of 3 and 0 in place of 1 at l=1.
+        # A higher id must stay out: 6 behind 5 at l=2, 8 behind 0 at l=1
+        # and behind 1 at l=2.
+        ds = Dataset(np.array([[-1], [1], [-2], [2], [-3], [3], [-3], [4], [1]], dtype=np.float64))
+        adjacency = [[8], [7, 0], [], [2, 1], [], [3, 6, 4], [], [], []]
+        index = TbsgIndex(n=9, m=3, enter_point=5, adjacency=adjacency)
+        q = np.zeros(1)
+        got = search_knn_with_stats(index, ds, q, SearchParams(l=l, k=l))
+        assert got == (expected, 9)
+        assert got == (literal_search(index, ds, q, l, l), literal_evals(index, ds, q, l))
+
 
 class TestLayerHooks:
     def test_build_and_search_look_up_layer_entry_points_in_index_module(self, monkeypatch):
